@@ -17,9 +17,9 @@
 //     bodies), which would race under SyncRoundParallel.
 //
 // Three model-contract analyzers sit on a dataflow layer (a CFG
-// builder in cfg.go, a worklist fixed-point engine in dataflow.go and
-// interprocedural taint summaries in summary.go) and prove the FSSGA
-// model itself at the source level:
+// builder in cfg.go, the two fixed-point solvers of dataflow.go — over
+// CFGs and over callgraph.go's shared call graph — and interprocedural
+// taint summaries in summary.go) and prove the FSSGA model itself:
 //
 //   - symcontract: transition functions observe the View only as a
 //     multiset — order-invariant ForEach folds, constant observation
@@ -87,10 +87,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -139,6 +141,8 @@ type Pass struct {
 	// Report delivers one diagnostic. The driver applies //fssga:nondet
 	// suppression and ordering; passes just report everything they find.
 	Report func(d Diagnostic)
+
+	cg *callGraph // built on first use by callGraph
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -224,6 +228,11 @@ func suppressedLines(fset *token.FileSet, files []*ast.File, directive string) m
 	return sup
 }
 
+// newPass connects analyzer a to unit u; the caller sets Report.
+func newPass(u *Unit, a *Analyzer) *Pass {
+	return &Pass{Analyzer: a, Fset: u.Fset, Files: u.Files, Path: u.Path, Pkg: u.Pkg, Info: u.Info}
+}
+
 // rawFindings executes the analyzers over the units, honouring each
 // analyzer's AppliesTo filter but NOT the //fssga:nondet directive: every
 // diagnostic the passes produce is returned. The audit layer uses the
@@ -235,14 +244,7 @@ func rawFindings(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 			if a.AppliesTo != nil && !a.AppliesTo(u.Path) {
 				continue
 			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     u.Fset,
-				Files:    u.Files,
-				Path:     u.Path,
-				Pkg:      u.Pkg,
-				Info:     u.Info,
-			}
+			pass := newPass(u, a)
 			pass.Report = func(d Diagnostic) {
 				pos := u.Fset.Position(d.Pos)
 				findings = append(findings, Finding{
@@ -265,21 +267,9 @@ func rawFindings(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 // sortFindings orders findings by file, line, column, analyzer, message —
 // a total order, so JSON output is byte-stable across runs.
 func sortFindings(findings []Finding) {
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col),
+			cmp.Compare(a.Analyzer, b.Analyzer), cmp.Compare(a.Message, b.Message))
 	})
 }
 

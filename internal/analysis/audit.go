@@ -12,7 +12,9 @@ package analysis
 // explicit ratchet edit.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -110,17 +112,11 @@ func AuditDirectives(units []*Unit, analyzers []*Analyzer) ([]Directive, error) 
 	for _, k := range order {
 		d := byKey[k]
 		sort.Strings(d.Suppresses)
-		d.Suppresses = compactStrings(d.Suppresses)
+		d.Suppresses = slices.Compact(d.Suppresses)
 		out = append(out, *d)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		return out[i].Kind < out[j].Kind
+	slices.SortFunc(out, func(a, b Directive) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Kind, b.Kind))
 	})
 	return out, nil
 }
@@ -136,15 +132,4 @@ func SuppressionCounts(dirs []Directive) map[string]int {
 		}
 	}
 	return counts
-}
-
-// compactStrings removes adjacent duplicates from a sorted slice.
-func compactStrings(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -437,5 +437,27 @@ func FuzzBuildCFG(f *testing.F) {
 		if got := strings.Count(c.String(fset), "\n"); got != len(c.Blocks) {
 			t.Fatalf("String rendered %d lines for %d blocks", got, len(c.Blocks))
 		}
+		// The solver invariant: at Forward's fixed point every block
+		// reachable from Entry through Succs has an In fact.
+		res := analysis.Forward(c, struct{}{}, analysis.FlowFuncs[struct{}]{
+			Clone:    func(f struct{}) struct{} { return f },
+			Join:     func(dst, _ struct{}) struct{} { return dst },
+			Equal:    func(_, _ struct{}) bool { return true },
+			Transfer: func(_ ast.Node, f struct{}) struct{} { return f },
+		})
+		seen := map[*analysis.Block]bool{c.Entry: true}
+		for stack := []*analysis.Block{c.Entry}; len(stack) > 0; {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if _, ok := res.In[b]; !ok {
+				t.Fatalf("reachable block %d (%s) has no In fact for %q\n%s", b.Index, b.What, body, c.String(fset))
+			}
+			for _, e := range b.Succs {
+				if !seen[e.To] {
+					seen[e.To] = true
+					stack = append(stack, e.To)
+				}
+			}
+		}
 	})
 }

@@ -14,10 +14,10 @@ package analysis
 //     captured local are recognized as the same channel;
 //   - select arms tagged blocking/non-blocking by whether their select
 //     carries a default arm;
-//   - a same-unit static call graph with the set of functions reachable
-//     from the unit's exported entry points, which is how goroleak
-//     decides whether a close site is reachable from an owner's
-//     Close/Stop-style API.
+//   - the set of functions reachable, over the pass's shared call graph
+//     (callgraph.go), from the unit's exported entry points, which is
+//     how goroleak decides whether a close site is reachable from an
+//     owner's Close/Stop-style API.
 //
 // The paper's model needs these facts: Def 3.11 assumes a fair scheduler
 // over node activations with constant work per activation, which the
@@ -27,11 +27,12 @@ package analysis
 // the round owner, locks are ranked — instead of assuming it.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 )
 
 // ConcDirective is the concurrency allowlist comment:
@@ -103,7 +104,7 @@ type concCtx struct {
 	pass    *Pass
 	files   []*ast.File // non-test files only
 	parents map[ast.Node]ast.Node
-	decls   map[*types.Func]*ast.FuncDecl
+	graph   *callGraph
 
 	// alias maps a local channel-typed variable to the struct field it
 	// stores into or loads from, so field channels keep one identity.
@@ -111,11 +112,12 @@ type concCtx struct {
 
 	chans  map[types.Object]*chanFacts
 	spawns []*spawnSite
+	// spawnOf maps each resolved spawn body to its (first) spawn site.
+	spawnOf map[ast.Node]*spawnSite
 
-	// calls is the same-unit static call graph; reach marks declarations
-	// reachable from exported functions/methods or init.
-	calls map[*types.Func]map[*types.Func]bool
-	reach map[*types.Func]bool
+	// reach holds the declarations reachable from exported
+	// functions/methods, init, or value uses.
+	reach map[*types.Func]*types.Func
 
 	// selectDefault maps each comm statement of a select arm to whether
 	// its select has a default clause; statements absent from the map are
@@ -127,11 +129,10 @@ type concCtx struct {
 func newConcCtx(pass *Pass) *concCtx {
 	c := &concCtx{
 		pass:          pass,
-		decls:         make(map[*types.Func]*ast.FuncDecl),
+		graph:         pass.callGraph(),
 		alias:         make(map[types.Object]types.Object),
 		chans:         make(map[types.Object]*chanFacts),
-		calls:         make(map[*types.Func]map[*types.Func]bool),
-		reach:         make(map[*types.Func]bool),
+		spawnOf:       make(map[ast.Node]*spawnSite),
 		selectDefault: make(map[ast.Stmt]bool),
 	}
 	for _, f := range pass.Files {
@@ -146,28 +147,12 @@ func newConcCtx(pass *Pass) *concCtx {
 			c.parents[n] = p
 		}
 	}
-	c.collectDecls()
 	c.collectAliases()
 	c.collectSelects()
 	c.collectSpawns()
 	c.collectChanOps()
-	c.buildCallGraph()
+	c.computeReach()
 	return c
-}
-
-// collectDecls indexes the unit's function declarations.
-func (c *concCtx) collectDecls() {
-	for _, f := range c.files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := c.pass.Info.Defs[fn.Name].(*types.Func); ok {
-				c.decls[obj] = fn
-			}
-		}
-	}
 }
 
 // objOf resolves an identifier to its object (use or def).
@@ -348,11 +333,14 @@ func (c *concCtx) collectSpawns() {
 			if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
 				sp.body = lit.Body
 			} else if fn, ok := calleeOf(c.pass.Info, g.Call).(*types.Func); ok {
-				if decl, ok := c.decls[fn.Origin()]; ok {
+				if decl, ok := c.graph.decls[fn.Origin()]; ok {
 					sp.body = decl.Body
 				}
 			}
 			c.spawns = append(c.spawns, sp)
+			if sp.body != nil && c.spawnOf[sp.body] == nil {
+				c.spawnOf[sp.body] = sp
+			}
 			return true
 		})
 	}
@@ -373,24 +361,12 @@ func (c *concCtx) enclosingDecl(n ast.Node) *types.Func {
 }
 
 // enclosingSpawn returns the spawn site whose body lexically contains
-// the node, or nil.
+// the node, or nil: the nearest enclosing spawned literal, else the
+// enclosing declaration when a `go f()` spawns it.
 func (c *concCtx) enclosingSpawn(n ast.Node) *spawnSite {
 	for p := c.parents[n]; p != nil; p = c.parents[p] {
-		for _, sp := range c.spawns {
-			if lit, ok := unparen(sp.stmt.Call.Fun).(*ast.FuncLit); ok && p == lit {
-				return sp
-			}
-		}
-	}
-	// `go f()` bodies are the declaration of f; ops inside are found by
-	// matching the enclosing declaration against resolved spawn bodies.
-	for p := c.parents[n]; p != nil; p = c.parents[p] {
-		if fd, ok := p.(*ast.FuncDecl); ok {
-			for _, sp := range c.spawns {
-				if sp.body != nil && sp.body == fd.Body {
-					return sp
-				}
-			}
+		if sp := c.spawnOf[p]; sp != nil {
+			return sp
 		}
 	}
 	return nil
@@ -489,28 +465,16 @@ func (c *concCtx) recordMake(call *ast.CallExpr, op chanOp) {
 			}
 		}
 	case *ast.KeyValueExpr:
-		if key, ok := p.Key.(*ast.Ident); ok && unparen(p.Value) == call {
-			if lit, ok := c.parents[p].(*ast.CompositeLit); ok {
-				if obj := c.compositeField(lit, key); obj != nil {
-					f := c.facts(obj)
-					op.fn = c.enclosingDecl(call)
-					f.ops = append(f.ops, op)
-					return
-				}
+		// A keyed composite-literal entry initializes a struct field.
+		key, ok := p.Key.(*ast.Ident)
+		if _, inLit := c.parents[p].(*ast.CompositeLit); ok && inLit && unparen(p.Value) == call {
+			if obj := c.pass.Info.Uses[key]; obj != nil && isStructField(obj) {
+				f := c.facts(obj)
+				op.fn = c.enclosingDecl(call)
+				f.ops = append(f.ops, op)
 			}
 		}
 	}
-}
-
-// compositeField resolves a keyed composite-literal entry to the struct
-// field it initializes.
-func (c *concCtx) compositeField(lit *ast.CompositeLit, key *ast.Ident) types.Object {
-	if obj := c.pass.Info.Uses[key]; obj != nil {
-		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			return v
-		}
-	}
-	return nil
 }
 
 // commNonBlocking reports whether a send/assign/expr statement is the
@@ -522,63 +486,19 @@ func (c *concCtx) commNonBlocking(s ast.Stmt) bool {
 // recvNonBlocking reports whether a receive expression is (part of) the
 // comm of a select arm whose select has a default clause.
 func (c *concCtx) recvNonBlocking(e ast.Expr) bool {
-	for p := c.parents[e]; p != nil; p = c.parents[p] {
-		if s, ok := p.(ast.Stmt); ok {
-			if hasDefault, isArm := c.selectDefault[s]; isArm {
-				return hasDefault
-			}
-			return false
-		}
-	}
-	return false
+	s, isArm := c.armStmtOf(e)
+	return isArm && c.selectDefault[s]
 }
 
-// selectArmOf returns the comm-clause statement enclosing e and whether
-// that select has a default arm; isArm is false for ops outside selects.
-func (c *concCtx) selectArmOf(n ast.Node) (hasDefault, isArm bool) {
-	for p := n; p != nil; p = c.parents[p] {
-		if s, ok := p.(ast.Stmt); ok {
-			if d, arm := c.selectDefault[s]; arm {
-				return d, true
-			}
-		}
-		if _, ok := p.(*ast.SelectStmt); ok {
-			return false, false
-		}
-	}
-	return false, false
-}
-
-// buildCallGraph records same-unit static calls (calls inside literals
-// attribute to the enclosing declaration) and computes reachability from
-// the unit's entry points: exported functions and methods, init
-// functions, and functions whose value escapes into a non-call position
-// (stored or passed, so an unknown caller may invoke them).
-func (c *concCtx) buildCallGraph() {
+// computeReach marks the declarations reachable from the unit's entry
+// points: exported functions and methods, init functions, and functions
+// whose value escapes into a non-call position (stored or passed, so an
+// unknown caller may invoke them). Test files contribute no roots.
+func (c *concCtx) computeReach() {
 	info := c.pass.Info
-	for obj, decl := range c.decls {
-		if decl.Body == nil {
-			continue
-		}
-		edges := make(map[*types.Func]bool)
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn, ok := calleeOf(info, call).(*types.Func); ok {
-				if _, inUnit := c.decls[fn.Origin()]; inUnit {
-					edges[fn.Origin()] = true
-				}
-			}
-			return true
-		})
-		c.calls[obj] = edges
-	}
-
 	var roots []*types.Func
-	for obj := range c.decls {
-		if obj.Exported() || obj.Name() == "init" {
+	for _, obj := range c.graph.funcs {
+		if (obj.Exported() || obj.Name() == "init") && !IsTestFile(c.pass.Fset, obj.Pos()) {
 			roots = append(roots, obj)
 		}
 	}
@@ -594,7 +514,7 @@ func (c *concCtx) buildCallGraph() {
 			if !ok {
 				return true
 			}
-			if _, inUnit := c.decls[fn.Origin()]; !inUnit {
+			if _, inUnit := c.graph.decls[fn.Origin()]; !inUnit {
 				return true
 			}
 			if call, ok := c.callParent(id); !ok || unparen(call.Fun) != ast.Expr(id) {
@@ -608,19 +528,7 @@ func (c *concCtx) buildCallGraph() {
 			return true
 		})
 	}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if c.reach[fn] {
-			return
-		}
-		c.reach[fn] = true
-		for callee := range c.calls[fn] {
-			visit(callee)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
+	c.reach = c.graph.reach(roots)
 }
 
 // callParent returns the call expression whose subtree directly holds n
@@ -655,7 +563,7 @@ func (c *concCtx) closable(obj types.Object) (ok bool, why string) {
 		return false, "it is never closed in this package"
 	}
 	for _, cl := range closes {
-		if cl.fn == nil || c.reach[cl.fn] {
+		if _, reached := c.reach[cl.fn]; cl.fn == nil || reached {
 			return true, ""
 		}
 	}
@@ -691,26 +599,11 @@ func ConcReport(units []*Unit) ([]ConcSpawn, error) {
 	var out []ConcSpawn
 	seen := make(map[string]bool) // file:line, across unit variants
 	for _, u := range units {
-		pass := &Pass{
-			Analyzer: Goroleak,
-			Fset:     u.Fset,
-			Files:    u.Files,
-			Path:     u.Path,
-			Pkg:      u.Pkg,
-			Info:     u.Info,
-		}
-		c := newConcCtx(pass)
+		c := newConcCtx(newPass(u, Goroleak))
 		sup := suppressedLines(u.Fset, u.Files, ConcDirective)
 		for _, sp := range c.spawns {
 			raw, live := 0, 0
-			c.checkSpawn(sp, func(p token.Pos, format string, args ...any) {
-				raw++
-				fp := u.Fset.Position(p)
-				if m := sup[fp.Filename]; m != nil && (m[fp.Line] || m[fp.Line-1]) {
-					return
-				}
-				live++
-			})
+			c.checkSpawn(sp, tally(u.Fset, sup, &raw, &live))
 			pos := u.Fset.Position(sp.stmt.Pos())
 			key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 			if seen[key] {
@@ -719,44 +612,46 @@ func ConcReport(units []*Unit) ([]ConcSpawn, error) {
 			seen[key] = true
 			name := fmt.Sprintf("func@%d", pos.Line)
 			if sp.fn != nil {
-				name = sp.fn.Name()
-				if recv := sp.fn.Type().(*types.Signature).Recv(); recv != nil {
-					if rn := recvTypeName(recv.Type()); rn != "" {
-						name = rn + "." + name
-					}
-				}
-			}
-			verdict := VerdictProven
-			if raw > 0 {
-				verdict = VerdictAudited
-			}
-			if live > 0 {
-				verdict = VerdictFlagged
+				name = funcName(sp.fn)
 			}
 			out = append(out, ConcSpawn{
 				Name:    name,
 				File:    pos.Filename,
 				Line:    pos.Line,
-				Verdict: verdict,
+				Verdict: siteVerdict(raw, live),
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
+	slices.SortFunc(out, func(a, b ConcSpawn) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line))
 	})
 	return out, nil
 }
 
-// recvTypeName extracts the receiver's named-type name ("" otherwise).
-func recvTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+// funcName renders a function as Name or RecvType.Name.
+func funcName(fn *types.Func) string {
+	t := fn.Type().(*types.Signature).Recv()
+	if t == nil {
+		return fn.Name()
 	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
+	rt := t.Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
 	}
-	return ""
+	if n, ok := rt.(*types.Named); ok {
+		return n.Obj().Name() + "." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// tally returns a report func counting every diagnostic into raw, and
+// into live those no directive in sup absorbs.
+func tally(fset *token.FileSet, sup map[string]map[int]bool, raw, live *int) func(token.Pos, string, ...any) {
+	return func(p token.Pos, _ string, _ ...any) {
+		*raw++
+		fp := fset.Position(p)
+		if m := sup[fp.Filename]; m == nil || !(m[fp.Line] || m[fp.Line-1]) {
+			*live++
+		}
+	}
 }

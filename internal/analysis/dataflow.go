@@ -1,12 +1,20 @@
 package analysis
 
-// dataflow.go is a forward worklist fixed-point engine over a CFG.
-// Fact types are supplied by the analyzer through FlowFuncs; the
-// engine guarantees termination for monotone transfer functions over
-// finite-height lattices (both users — the symcontract taint and the
-// finstate boundedness domains — are powerset/level maps over the
-// function's objects) and applies an optional per-edge refinement so
-// branch conditions can sharpen facts (`x > cap` false ⇒ x ≤ cap).
+// dataflow.go holds the package's two fixed-point solvers; every
+// fixpoint in the analyzers runs on one of them.
+//
+//   - Forward is a worklist engine over one function's CFG. Fact types
+//     are supplied by the analyzer through FlowFuncs; the engine
+//     guarantees termination for monotone transfer functions over
+//     finite-height lattices and applies an optional per-edge
+//     refinement so branch conditions can sharpen facts (`x > cap`
+//     false ⇒ x ≤ cap). Its users are finstate (boundedness levels)
+//     and lockorder (the condition-correlated may-held set).
+//   - Summarize is a least-fixpoint solver over a dependency graph:
+//     successor facts flow to predecessors, which is how callee
+//     summaries reach their callers over the shared call graph
+//     (callgraph.go). Its users are lockorder's lock summaries,
+//     hotalloc's may-allocate summaries and HotpathReport's verdicts.
 
 import "go/ast"
 
@@ -111,4 +119,44 @@ func (r *FlowResult[F]) Replay(b *Block, visit func(n ast.Node, before F)) {
 		visit(n, f)
 		f = r.fn.Transfer(n, f)
 	}
+}
+
+// Summarize computes the least fixed point of a dependency-graph
+// problem: each node's fact is its local fact joined with the facts of
+// its successors (a caller's summary absorbs its callees'). join merges
+// src into dst and reports whether dst grew; it must be monotone over a
+// finite-height lattice, and may reuse dst. Successors outside nodes
+// contribute nothing. The result does not depend on the order of nodes.
+func Summarize[N comparable, F any](nodes []N, succs func(N) []N, local func(N) F, join func(dst, src F) (F, bool)) map[N]F {
+	// Every node starts queued; a node is requeued when its fact grows,
+	// so its predecessors see the new value.
+	facts := make(map[N]F, len(nodes))
+	queued := make(map[N]bool, len(nodes))
+	for _, n := range nodes {
+		facts[n] = local(n)
+		queued[n] = true
+	}
+	preds := make(map[N][]N, len(nodes))
+	for _, n := range nodes {
+		for _, s := range succs(n) {
+			if _, ok := facts[s]; ok {
+				preds[s] = append(preds[s], n)
+			}
+		}
+	}
+	queue := append([]N(nil), nodes...)
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		queued[n] = false
+		for _, p := range preds[n] {
+			f, grew := join(facts[p], facts[n])
+			facts[p] = f
+			if grew && !queued[p] {
+				queued[p] = true
+				queue = append(queue, p)
+			}
+		}
+	}
+	return facts
 }

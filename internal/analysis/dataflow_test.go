@@ -165,3 +165,32 @@ func TestReplayIntermediateFacts(t *testing.T) {
 		t.Errorf("Replay before-fact sizes = %v, want %v", sizes, want)
 	}
 }
+
+// TestSummarizeLeastFixpoint pins the call-graph solver on a cycle, a
+// self-loop and a node nothing reaches: each node's fact is the union of
+// its own bit and every bit it reaches, whatever order nodes arrive in.
+func TestSummarizeLeastFixpoint(t *testing.T) {
+	succs := map[string][]string{
+		"a": {"b"},      // a <-> b is a cycle
+		"b": {"a", "c"}, // ...that reaches c
+		"c": {"c"},      // self-loop
+		"d": {"a", "x"}, // nothing reaches d; x is not a node
+		"e": nil,        // isolated
+	}
+	bit := map[string]uint{"a": 1, "b": 2, "c": 4, "d": 8, "e": 16}
+	want := map[string]uint{"a": 7, "b": 7, "c": 4, "d": 15, "e": 16}
+	orders := [][]string{
+		{"a", "b", "c", "d", "e"},
+		{"e", "d", "c", "b", "a"},
+		{"c", "a", "e", "b", "d"},
+	}
+	for _, nodes := range orders {
+		got := analysis.Summarize(nodes,
+			func(n string) []string { return succs[n] },
+			func(n string) uint { return bit[n] },
+			func(dst, src uint) (uint, bool) { return dst | src, dst|src != dst })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("order %v: Summarize = %v, want %v", nodes, got, want)
+		}
+	}
+}

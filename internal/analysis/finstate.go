@@ -450,7 +450,8 @@ func (be *boundEval) setIdent(id *ast.Ident, lv uint8, f boundFact) {
 // foldTransfer applies a ForEach callback's writes to variables that
 // outlive it: the callback runs zero or more times, so every write is
 // a weak update, with the fold parameters at StateMagnitude. Iterated
-// to a local fixed point so accumulator chains settle.
+// to its fixed point so accumulator chains of any length settle: levels
+// only rise and the lattice has height 3, so the loop terminates.
 func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 	if len(call.Args) == 0 {
 		return
@@ -470,8 +471,8 @@ func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 			}
 		}
 	}
-	for rounds := 0; rounds < 3; rounds++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		ast.Inspect(lit.Body, func(m ast.Node) bool {
 			switch m.(type) {
 			case *ast.AssignStmt, *ast.IncDecStmt, *ast.DeclStmt, *ast.RangeStmt, *ast.ExprStmt:
@@ -496,9 +497,6 @@ func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 			}
 			return true
 		})
-		if !changed {
-			break
-		}
 	}
 	// Export the surviving variables' levels back to the outer fact.
 	for k, v := range inner {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -23,10 +22,18 @@ var Globalwrite = &Analyzer{
 }
 
 func runGlobalwrite(pass *Pass) error {
-	// Collect declared functions and the analysis roots.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	var roots []ast.Node
-	var rootDesc []string
+	// Roots: transition functions, `go f()` targets and `go func(){...}`
+	// literal bodies; a literal's callees root the reachability with
+	// the literal as their witness.
+	g := pass.callGraph()
+	var roots []*types.Func
+	why := make(map[*types.Func]string)
+	root := func(fn *types.Func, desc string) {
+		if _, seen := why[fn]; !seen {
+			why[fn] = desc
+			roots = append(roots, fn)
+		}
+	}
 	for _, f := range pass.Files {
 		if IsTestFile(pass.Fset, f.Pos()) {
 			continue
@@ -34,89 +41,41 @@ func runGlobalwrite(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				fn, ok := pass.Info.Defs[n.Name].(*types.Func)
-				if !ok || n.Body == nil {
-					return true
-				}
-				decls[fn] = n
-				if sig, ok := fn.Type().(*types.Signature); ok && isStepSignature(sig) {
-					roots = append(roots, n.Body)
-					rootDesc = append(rootDesc, "transition function "+fn.Name())
+				if fn, ok := pass.Info.Defs[n.Name].(*types.Func); ok && isStepSignature(fn.Type().(*types.Signature)) {
+					root(fn, "transition function "+fn.Name())
 				}
 			case *ast.GoStmt:
 				if fl, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					roots = append(roots, fl.Body)
-					rootDesc = append(rootDesc, "goroutine body")
-				}
-				if fn, ok := calleeOf(pass.Info, n.Call).(*types.Func); ok {
-					if d, ok := decls[fn]; ok {
-						roots = append(roots, d.Body)
-						rootDesc = append(rootDesc, "goroutine "+fn.Name())
-					} else {
-						// Declared later in the package: mark via worklist
-						// after collection using the object itself.
-						roots = append(roots, goCallee{fn})
-						rootDesc = append(rootDesc, "goroutine "+fn.Name())
+					checkGlobalWrites(pass, fl.Body, "goroutine body")
+					for _, fn := range g.callees(fl.Body) {
+						root(fn, "goroutine body -> "+fn.Name())
 					}
 				}
-			}
-			return true
-		})
-	}
-
-	// Breadth-first reachability over static intra-package calls.
-	visited := make(map[ast.Node]bool)
-	reason := make(map[ast.Node]string)
-	var queue []ast.Node
-	enqueue := func(n ast.Node, why string) {
-		if body, ok := n.(goCallee); ok {
-			d, ok := decls[body.fn]
-			if !ok {
-				return
-			}
-			n = d.Body
-		}
-		if n == nil || visited[n] {
-			return
-		}
-		visited[n] = true
-		reason[n] = why
-		queue = append(queue, n)
-	}
-	for i, r := range roots {
-		enqueue(r, rootDesc[i])
-	}
-	for len(queue) > 0 {
-		body := queue[0]
-		queue = queue[1:]
-		why := reason[body]
-		ast.Inspect(body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn, ok := calleeOf(pass.Info, call).(*types.Func); ok {
-				if d, ok := decls[fn]; ok {
-					enqueue(d.Body, why+" -> "+fn.Name())
+				if fn, ok := calleeOf(pass.Info, n.Call).(*types.Func); ok {
+					root(fn.Origin(), "goroutine "+fn.Name())
 				}
 			}
 			return true
 		})
 	}
 
-	// Flag package-level writes in every reachable body.
-	for body := range visited {
-		checkGlobalWrites(pass, body, reason[body])
+	// Flag package-level writes in every reachable body, naming the
+	// call chain that reaches it.
+	from := g.reach(roots)
+	var chain func(fn *types.Func) string
+	chain = func(fn *types.Func) string {
+		if caller := from[fn]; caller != nil {
+			return chain(caller) + " -> " + fn.Name()
+		}
+		return why[fn]
+	}
+	for _, fn := range g.funcs {
+		if _, ok := from[fn]; ok && g.decls[fn].Body != nil {
+			checkGlobalWrites(pass, g.decls[fn].Body, chain(fn))
+		}
 	}
 	return nil
 }
-
-// goCallee defers resolution of a `go f()` target declared later in the
-// package; it only exists inside runGlobalwrite's worklist.
-type goCallee struct{ fn *types.Func }
-
-func (goCallee) Pos() (p token.Pos) { return }
-func (goCallee) End() (p token.Pos) { return }
 
 func checkGlobalWrites(pass *Pass, body ast.Node, why string) {
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -197,3 +197,15 @@ func containsCallTo(info *types.Info, root ast.Node, pkgPath, name string) bool 
 	})
 	return found
 }
+
+// union adds src's members to dst, reporting whether dst grew.
+func union[K comparable](dst, src map[K]bool) bool {
+	grew := false
+	for k := range src {
+		if !dst[k] {
+			dst[k] = true
+			grew = true
+		}
+	}
+	return grew
+}

@@ -42,11 +42,12 @@ package analysis
 // dominate mc's witnesses).
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -96,6 +97,9 @@ type hotallocCtx struct {
 	// declarations: true when the function (or anything it statically
 	// calls within the unit) contains a potential allocation.
 	mayAlloc map[*types.Func]bool
+	// consulted collects the unmarked same-unit callees a scan judged by
+	// their summary: the call-graph edges of the mayAlloc problem.
+	consulted []*types.Func
 }
 
 func runHotalloc(pass *Pass) error {
@@ -104,12 +108,12 @@ func runHotalloc(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if h.isHot[fn] && fn.Body != nil {
-					h.checkBody(fn.Body, h.declSignature(fn), pass.Reportf)
+				if h.isHot[fn] {
+					h.checkBody(fn, pass.Reportf)
 				}
 			case *ast.FuncLit:
 				if h.isHot[fn] {
-					h.checkBody(fn.Body, h.litSignature(fn), pass.Reportf)
+					h.checkBody(fn, pass.Reportf)
 					return false // the body is this literal's own obligation
 				}
 			}
@@ -122,35 +126,17 @@ func runHotalloc(pass *Pass) error {
 // newHotallocCtx collects the unit's declarations and hotpath marks and
 // computes the may-allocate summaries of the unmarked declarations.
 func newHotallocCtx(pass *Pass) *hotallocCtx {
+	g := pass.callGraph()
 	h := &hotallocCtx{
-		pass:     pass,
-		marked:   make(map[string]map[int]bool),
-		decls:    make(map[*types.Func]*ast.FuncDecl),
-		isHot:    make(map[ast.Node]bool),
-		mayAlloc: make(map[*types.Func]bool),
+		pass:   pass,
+		marked: suppressedLines(pass.Fset, pass.Files, HotpathDirective),
+		decls:  g.decls,
+		isHot:  make(map[ast.Node]bool),
 	}
 	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, HotpathDirective)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				pos := pass.Fset.Position(c.Pos())
-				m := h.marked[pos.Filename]
-				if m == nil {
-					m = make(map[int]bool)
-					h.marked[pos.Filename] = m
-				}
-				m[pos.Line] = true
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if obj, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
-					h.decls[obj] = fn
-				}
 				if h.declMarked(fn) {
 					h.isHot[fn] = true
 				}
@@ -163,23 +149,29 @@ func newHotallocCtx(pass *Pass) *hotallocCtx {
 		})
 	}
 
-	// Fixed point over the unmarked declarations: mayAlloc only flips
-	// false -> true, so iteration terminates. Marked functions carry
-	// their own obligations and are never summarized.
-	for changed := true; changed; {
-		changed = false
-		for obj, decl := range h.decls {
-			if h.isHot[decl] || h.mayAlloc[obj] || decl.Body == nil {
-				continue
-			}
-			found := false
-			h.checkBody(decl.Body, h.declSignature(decl), func(token.Pos, string, ...any) { found = true })
-			if found {
-				h.mayAlloc[obj] = true
-				changed = true
-			}
+	// May-allocate summaries of the unmarked declarations on the
+	// call-graph solver. A body's local fact is whether it allocates by
+	// itself (scanned before any summary exists, so calls are judged by
+	// their arguments only); its edges are the unmarked callees that scan
+	// consulted. Marked functions carry their own obligations and are
+	// never summarized.
+	var nodes []*types.Func
+	local := make(map[*types.Func]bool)
+	edges := make(map[*types.Func][]*types.Func)
+	for _, fn := range g.funcs {
+		decl := g.decls[fn]
+		if h.isHot[decl] || decl.Body == nil {
+			continue
 		}
+		h.consulted = nil
+		h.checkBody(decl, func(token.Pos, string, ...any) { local[fn] = true })
+		nodes = append(nodes, fn)
+		edges[fn] = h.consulted
 	}
+	h.mayAlloc = Summarize(nodes,
+		func(fn *types.Func) []*types.Func { return edges[fn] },
+		func(fn *types.Func) bool { return local[fn] },
+		func(dst, src bool) (bool, bool) { return dst || src, src && !dst })
 	return h
 }
 
@@ -204,41 +196,32 @@ func (h *hotallocCtx) declMarked(fn *ast.FuncDecl) bool {
 	return h.markedAt(fn.Pos())
 }
 
-// callee resolves a call's static callee to its origin (the generic
-// declaration for instantiated calls), or nil for dynamic calls.
-func (h *hotallocCtx) callee(call *ast.CallExpr) *types.Func {
-	fn, ok := calleeOf(h.pass.Info, call).(*types.Func)
-	if !ok {
-		return nil
+// funcParts returns the body and signature of a function declaration or
+// literal (nil, nil for any other node).
+func funcParts(info *types.Info, n ast.Node) (*ast.BlockStmt, *types.Signature) {
+	var body *ast.BlockStmt
+	var t types.Type
+	switch fn := n.(type) {
+	case *ast.FuncDecl:
+		body, t = fn.Body, info.TypeOf(fn.Name)
+	case *ast.FuncLit:
+		body, t = fn.Body, info.TypeOf(fn)
 	}
-	return fn.Origin()
+	sig, _ := t.(*types.Signature)
+	return body, sig
 }
 
-// declSignature returns the signature of a function declaration, or nil.
-func (h *hotallocCtx) declSignature(fn *ast.FuncDecl) *types.Signature {
-	if obj, ok := h.pass.Info.Defs[fn.Name].(*types.Func); ok {
-		return obj.Type().(*types.Signature)
-	}
-	return nil
-}
-
-// litSignature returns the signature of a function literal, or nil.
-func (h *hotallocCtx) litSignature(fn *ast.FuncLit) *types.Signature {
-	if tv, ok := h.pass.Info.Types[fn]; ok {
-		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			return sig
-		}
-	}
-	return nil
-}
-
-// checkBody scans one function body and reports every potential heap
-// allocation through report. sig is the scanned function's own
-// signature, consulted for return-statement boxing. It is used both to
-// diagnose marked functions (report = pass.Reportf) and to summarize
-// unmarked ones (report = set-a-flag).
-func (h *hotallocCtx) checkBody(body *ast.BlockStmt, sig *types.Signature, report func(pos token.Pos, format string, args ...any)) {
+// checkBody scans the body of one function declaration or literal and
+// reports every potential heap allocation through report; the
+// function's signature is consulted for return-statement boxing. It is
+// used both to diagnose marked functions (report = pass.Reportf) and to
+// summarize unmarked ones (report = set-a-flag).
+func (h *hotallocCtx) checkBody(fn ast.Node, report func(pos token.Pos, format string, args ...any)) {
 	info := h.pass.Info
+	body, sig := funcParts(info, fn)
+	if body == nil {
+		return
+	}
 	qual := types.RelativeTo(h.pass.Pkg)
 	parents := parentMap(body)
 	excused := panicArgNodes(info, body)
@@ -340,7 +323,7 @@ func (h *hotallocCtx) checkCall(call *ast.CallExpr, body *ast.BlockStmt, qual ty
 		return
 	}
 
-	fn := h.callee(call)
+	fn, _ := calleeOf(info, call).(*types.Func)
 	if fn == nil {
 		// The callee is a function value. Two shapes are statically
 		// visible and allocation-free to invoke: an immediately invoked
@@ -353,6 +336,7 @@ func (h *hotallocCtx) checkCall(call *ast.CallExpr, body *ast.BlockStmt, qual ty
 		}
 		return
 	}
+	fn = fn.Origin() // the generic declaration for instantiated calls
 	if dynamicDispatch(fn) {
 		report(call.Pos(), "dynamic call %s may allocate (interface dispatch)", fn.Name())
 		return
@@ -360,9 +344,12 @@ func (h *hotallocCtx) checkCall(call *ast.CallExpr, body *ast.BlockStmt, qual ty
 	if decl, ok := h.decls[fn]; ok { // same unit
 		// Marked callees are trusted here: their obligations are checked
 		// at the marked definition.
-		if !h.isHot[decl] && h.mayAlloc[fn] {
-			report(call.Pos(), "call to %s may allocate (unmarked function with allocating summary)", fn.Name())
-			return
+		if !h.isHot[decl] {
+			h.consulted = append(h.consulted, fn)
+			if h.mayAlloc[fn] {
+				report(call.Pos(), "call to %s may allocate (unmarked function with allocating summary)", fn.Name())
+				return
+			}
 		}
 	} else if !hotallocAllowed(fn) {
 		report(call.Pos(), "call to %s crosses the unit boundary and is not allocation-whitelisted", fn.FullName())
@@ -654,19 +641,10 @@ func lhsType(info *types.Info, lhs ast.Expr) types.Type {
 // enclosing n.
 func enclosingSignature(info *types.Info, n ast.Node, parents map[ast.Node]ast.Node) *types.Signature {
 	for p := parents[n]; p != nil; p = parents[p] {
-		switch fn := p.(type) {
-		case *ast.FuncLit:
-			if tv, ok := info.Types[fn]; ok {
-				if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-					return sig
-				}
-			}
-			return nil
-		case *ast.FuncDecl:
-			if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
-				return obj.Type().(*types.Signature)
-			}
-			return nil
+		switch p.(type) {
+		case *ast.FuncLit, *ast.FuncDecl:
+			_, sig := funcParts(info, p)
+			return sig
 		}
 	}
 	// n may be the body of the function handed to checkBody; the caller
@@ -712,6 +690,22 @@ const (
 	VerdictFlagged = "flagged"
 )
 
+// verdictRank orders the verdicts: flagged dominates audited dominates
+// proven.
+var verdictRank = map[string]int{VerdictProven: 0, VerdictAudited: 1, VerdictFlagged: 2}
+
+// siteVerdict classifies a site from its diagnostic counts: raw in all,
+// live of them not absorbed by a directive.
+func siteVerdict(raw, live int) string {
+	switch {
+	case live > 0:
+		return VerdictFlagged
+	case raw > 0:
+		return VerdictAudited
+	}
+	return VerdictProven
+}
+
 // HotpathReport computes the hotalloc verdict of every marked function
 // in the units. "proven" is transitive: a marked function calling an
 // audited marked function is itself only audited — its dynamic
@@ -722,104 +716,50 @@ func HotpathReport(units []*Unit) ([]HotpathFunc, error) {
 	var out []HotpathFunc
 	seen := make(map[string]bool) // file:line, across unit variants
 	for _, u := range units {
-		pass := &Pass{
-			Analyzer: Hotalloc,
-			Fset:     u.Fset,
-			Files:    u.Files,
-			Path:     u.Path,
-			Pkg:      u.Pkg,
-			Info:     u.Info,
-		}
+		pass := newPass(u, Hotalloc)
 		h := newHotallocCtx(pass)
 		type funcInfo struct {
-			name      string
-			file      string
-			line      int
-			raw       int // diagnostics in the body
-			live      int // ... not absorbed by //fssga:alloc
-			callees   []*ast.FuncDecl
-			transient string
+			name    string
+			file    string
+			line    int
+			raw     int // diagnostics in the body
+			live    int // ... not absorbed by //fssga:alloc
+			callees []ast.Node
 		}
 		sup := suppressedLines(u.Fset, u.Files, AllocDirective)
 		infoOf := make(map[ast.Node]*funcInfo)
 		var nodes []ast.Node
 		for node := range h.isHot {
-			var body *ast.BlockStmt
-			var sig *types.Signature
-			fi := &funcInfo{}
-			switch fn := node.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-				sig = h.declSignature(fn)
-				fi.name = funcDisplayName(fn)
-			case *ast.FuncLit:
-				body = fn.Body
-				sig = h.litSignature(fn)
-				p := u.Fset.Position(fn.Pos())
-				fi.name = fmt.Sprintf("func@%d", p.Line)
-			}
+			body, _ := funcParts(u.Info, node)
 			if body == nil {
 				continue
 			}
 			pos := u.Fset.Position(node.Pos())
-			fi.file, fi.line = pos.Filename, pos.Line
-			h.checkBody(body, sig, func(p token.Pos, format string, args ...any) {
-				fi.raw++
-				fp := u.Fset.Position(p)
-				if m := sup[fp.Filename]; m != nil && (m[fp.Line] || m[fp.Line-1]) {
-					return
+			fi := &funcInfo{name: fmt.Sprintf("func@%d", pos.Line), file: pos.Filename, line: pos.Line}
+			if fd, ok := node.(*ast.FuncDecl); ok {
+				fi.name = funcName(u.Info.Defs[fd.Name].(*types.Func))
+			}
+			h.checkBody(node, tally(u.Fset, sup, &fi.raw, &fi.live))
+			for _, fn := range pass.callGraph().callees(body) {
+				if d := h.decls[fn]; h.isHot[d] {
+					fi.callees = append(fi.callees, d)
 				}
-				fi.live++
-			})
-			ast.Inspect(body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if fn := h.callee(call); fn != nil {
-						if d, ok := h.decls[fn]; ok && h.isHot[d] {
-							fi.callees = append(fi.callees, d)
-						}
-					}
-				}
-				return true
-			})
+			}
 			infoOf[node] = fi
 			nodes = append(nodes, node)
 		}
 
-		// Transitive verdicts: flagged dominates audited dominates proven.
-		var verdictOf func(node ast.Node, visiting map[ast.Node]bool) string
-		verdictOf = func(node ast.Node, visiting map[ast.Node]bool) string {
-			fi := infoOf[node]
-			if fi == nil {
-				return VerdictProven
-			}
-			if fi.transient != "" {
-				return fi.transient
-			}
-			if visiting[node] {
-				return VerdictProven // recursion: the cycle's own sites decide
-			}
-			visiting[node] = true
-			v := VerdictProven
-			if fi.raw > 0 {
-				v = VerdictAudited
-			}
-			if fi.live > 0 {
-				v = VerdictFlagged
-			}
-			for _, c := range fi.callees {
-				switch verdictOf(c, visiting) {
-				case VerdictFlagged:
-					v = VerdictFlagged
-				case VerdictAudited:
-					if v == VerdictProven {
-						v = VerdictAudited
-					}
+		// Transitive verdicts on the call-graph solver, over the lattice
+		// proven < audited < flagged.
+		verdicts := Summarize(nodes,
+			func(n ast.Node) []ast.Node { return infoOf[n].callees },
+			func(n ast.Node) string { return siteVerdict(infoOf[n].raw, infoOf[n].live) },
+			func(dst, src string) (string, bool) {
+				if verdictRank[src] > verdictRank[dst] {
+					return src, true
 				}
-			}
-			delete(visiting, node)
-			fi.transient = v
-			return v
-		}
+				return dst, false
+			})
 		for _, node := range nodes {
 			fi := infoOf[node]
 			key := fmt.Sprintf("%s:%d", fi.file, fi.line)
@@ -831,37 +771,12 @@ func HotpathReport(units []*Unit) ([]HotpathFunc, error) {
 				Name:    fi.name,
 				File:    fi.file,
 				Line:    fi.line,
-				Verdict: verdictOf(node, make(map[ast.Node]bool)),
+				Verdict: verdicts[node],
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
+	slices.SortFunc(out, func(a, b HotpathFunc) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line))
 	})
 	return out, nil
-}
-
-// funcDisplayName renders a declaration as Name or RecvType.Name.
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name + "." + fn.Name.Name
-		default:
-			return fn.Name.Name
-		}
-	}
 }

@@ -182,6 +182,49 @@ func label(id int) string { return fmt.Sprintf("node-%d", id) }
 	}
 }
 
+// Acceptance pin: HotpathReport's transitive verdicts are a least fixed
+// point, so a call cycle cannot hide an allocation. A allocates and
+// calls B, B calls A back; both must be flagged on every run, whatever
+// order the marked functions are visited in.
+func TestHotpathReportCycleIsFlagged(t *testing.T) {
+	const src = `package hot
+
+//fssga:hotpath
+func A(n int) []int {
+	if n > 0 {
+		B(n - 1)
+	}
+	return make([]int, n)
+}
+
+//fssga:hotpath
+func B(n int) { A(n) }
+`
+	file := filepath.Join(t.TempDir(), "x.go")
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := analysis.NewLoader("")
+	unit, err := analysis.CheckFiles(l.Fset, "hot", []string{file}, l)
+	if err != nil {
+		t.Fatalf("CheckFiles: %v", err)
+	}
+	for run := 0; run < 64; run++ {
+		funcs, err := analysis.HotpathReport([]*analysis.Unit{unit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(funcs) != 2 {
+			t.Fatalf("HotpathReport = %v, want A and B", funcs)
+		}
+		for _, f := range funcs {
+			if f.Verdict != analysis.VerdictFlagged {
+				t.Fatalf("run %d: %s verdict %q, want %q", run, f.Name, f.Verdict, analysis.VerdictFlagged)
+			}
+		}
+	}
+}
+
 // shardBody wraps one worker-round body in the minimum scaffolding that
 // makes it a real func(pool *shardPool, worker int) literal under the
 // engine's import path.

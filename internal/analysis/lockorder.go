@@ -19,6 +19,10 @@ package analysis
 //     unit are a deadlock pair, and every edge on such a cycle is
 //     flagged.
 //
+// The may-held set is a Forward dataflow: each held lock carries the
+// branch outcomes it was taken under, so a lock taken and released
+// under the same unchanged bool is not held where neither happened.
+//
 // Lock identity is the struct field or variable owning the mutex (the
 // conc layer's target resolution), so p.mu and net.poolMu stay
 // distinct while two receivers of the same method share one identity.
@@ -29,7 +33,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
+	"strings"
 )
 
 // Lockorder is the lock-discipline analyzer.
@@ -68,7 +74,6 @@ type lockSummary struct {
 // lockorderCtx extends the conc layer with the unit-wide order graph.
 type lockorderCtx struct {
 	*concCtx
-	pass      *Pass
 	summaries map[*types.Func]*lockSummary
 	names     map[types.Object]string
 	// order records held->acquired edges with their first witness.
@@ -77,13 +82,20 @@ type lockorderCtx struct {
 
 func runLockorder(pass *Pass) error {
 	lc := &lockorderCtx{
-		concCtx:   newConcCtx(pass),
-		pass:      pass,
-		summaries: make(map[*types.Func]*lockSummary),
-		names:     make(map[types.Object]string),
-		order:     make(map[[2]types.Object]token.Pos),
+		concCtx: newConcCtx(pass),
+		names:   make(map[types.Object]string),
+		order:   make(map[[2]types.Object]token.Pos),
 	}
-	lc.summarize()
+	// Transitive lock summaries on the call-graph solver: a body's own
+	// acquisitions and blocking channel ops are its local fact, and
+	// callee summaries flow to their callers.
+	g := lc.graph
+	lc.summaries = Summarize(g.funcs, func(fn *types.Func) []*types.Func { return g.calls[fn] }, lc.localSummary,
+		func(dst, src *lockSummary) (*lockSummary, bool) {
+			grew := src.blocking && !dst.blocking
+			dst.blocking = dst.blocking || src.blocking
+			return dst, union(dst.acquires, src.acquires) || grew
+		})
 
 	// Analyze every function-like body independently: declarations plus
 	// function literals (a literal runs on its own goroutine or frame;
@@ -93,10 +105,10 @@ func runLockorder(pass *Pass) error {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					lc.checkBody(fn.Body, pass.Reportf)
+					lc.checkBody(fn, fn.Body, pass.Reportf)
 				}
 			case *ast.FuncLit:
-				lc.checkBody(fn.Body, pass.Reportf)
+				lc.checkBody(fn, fn.Body, pass.Reportf)
 			}
 			return true
 		})
@@ -157,97 +169,173 @@ func renderLockName(e ast.Expr) string {
 	return "<lock>"
 }
 
-// summarize computes each declaration's transitive lock summary to a
-// fixed point (effects only grow, so iteration terminates).
-func (lc *lockorderCtx) summarize() {
-	for obj := range lc.decls {
-		lc.summaries[obj] = &lockSummary{acquires: make(map[types.Object]bool)}
+// localSummary collects the acquisitions and blocking channel ops of
+// fn's own body, callees not included.
+func (lc *lockorderCtx) localSummary(fn *types.Func) *lockSummary {
+	s := &lockSummary{acquires: make(map[types.Object]bool)}
+	body := lc.graph.decls[fn].Body
+	if body == nil {
+		return s
 	}
-	for obj, decl := range lc.decls {
-		if decl.Body == nil {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			return false // spawned code blocks its own goroutine, not the caller
+		case *ast.FuncLit:
+			// A literal's effects land in the caller's frame only when
+			// it is invoked on the spot.
+			if call, ok := lc.callParent(n); !ok || unparen(call.Fun) != ast.Expr(n) {
+				return false
+			}
+		case *ast.CallExpr:
+			if op, ok := lc.mutexOpOf(n); ok && op.acquire {
+				s.acquires[op.obj] = true
+			}
+		}
+		s.blocking = s.blocking || lc.blockingOp(n) != ""
+		return true
+	})
+	return s
+}
+
+// blockingOp returns the diagnostic format (one %s: the held locks) for
+// a node that may park its goroutine on a channel — a send or receive
+// outside a select with default, or a range over a channel — else "".
+func (lc *lockorderCtx) blockingOp(n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		if !lc.commNonBlocking(n) {
+			return "blocking send while holding %s: the lock is held for the full park"
+		}
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW && !lc.recvNonBlocking(n) {
+			return "blocking receive while holding %s: the lock is held for the full park"
+		}
+	case *ast.RangeStmt:
+		if lc.chanTyped(n.X) {
+			return "ranging over a channel while holding %s blocks the lock owner"
+		}
+	}
+	return ""
+}
+
+// guards is a set of branch outcomes over a body's stable condition
+// variables, one bit per variable: set marks the variables whose outcome
+// is known, val holds those outcomes.
+type guards struct{ set, val uint64 }
+
+// meet keeps the outcomes both sets agree on.
+func (g guards) meet(o guards) guards {
+	set := g.set & o.set &^ (g.val ^ o.val)
+	return guards{set, g.val & set}
+}
+
+// with records the outcome val for the variable at bit.
+func (g guards) with(bit uint64, val bool) guards {
+	g.set |= bit
+	g.val &^= bit
+	if val {
+		g.val |= bit
+	}
+	return g
+}
+
+// A heldLock is one may-held lock: its acquisition kind and the branch
+// outcomes in force on every path that holds it.
+type heldLock struct {
+	kind  lockKind
+	under guards
+}
+
+// heldState maps each may-held lock to its guard.
+type heldState map[types.Object]heldLock
+
+// A lockFact is the may-held lattice value at one program point: the
+// held locks, and the branch outcomes every path to the point took (a
+// lock acquired there is held under them).
+type lockFact struct {
+	path guards
+	held heldState
+}
+
+func (f lockFact) clone() lockFact { return lockFact{f.path, maps.Clone(f.held)} }
+
+func (f lockFact) equal(o lockFact) bool { return f.path == o.path && maps.Equal(f.held, o.held) }
+
+// join unions the held locks (write dominates read: lockWrite is the
+// smaller kind) and keeps only the outcomes both sides agree on.
+func (f lockFact) join(o lockFact) lockFact {
+	f.path = f.path.meet(o.path)
+	for k, h := range o.held {
+		if cur, ok := f.held[k]; ok {
+			h = heldLock{min(h.kind, cur.kind), h.under.meet(cur.under)}
+		}
+		f.held[k] = h
+	}
+	return f
+}
+
+// refine enters a branch where the variable at bit took val: a lock
+// taken under the opposite outcome is not held on this edge.
+func (f lockFact) refine(bit uint64, val bool) lockFact {
+	f.path = f.path.with(bit, val)
+	for k, h := range f.held {
+		if h.under.set&bit != 0 && (h.under.val&bit != 0) != val {
+			delete(f.held, k)
 			continue
 		}
-		s := lc.summaries[obj]
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				return false // spawned code blocks its own goroutine, not the caller
-			case *ast.FuncLit:
-				// A literal's effects land in the caller's frame only when
-				// it is invoked on the spot.
-				if call, ok := lc.callParent(n); !ok || unparen(call.Fun) != ast.Expr(n) {
-					return false
-				}
-			case *ast.CallExpr:
-				if op, ok := lc.mutexOpOf(n); ok && op.acquire {
-					s.acquires[op.obj] = true
-				}
-			case *ast.SendStmt:
-				if !lc.commNonBlocking(n) {
-					s.blocking = true
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !lc.recvNonBlocking(n) {
-					s.blocking = true
-				}
-			case *ast.RangeStmt:
-				if lc.chanTyped(n.X) {
-					s.blocking = true
-				}
-			}
-			return true
-		})
+		h.under = h.under.with(bit, val)
+		f.held[k] = h
 	}
-	for changed := true; changed; {
-		changed = false
-		for obj := range lc.decls {
-			s := lc.summaries[obj]
-			for callee := range lc.calls[obj] {
-				cs := lc.summaries[callee]
-				if cs == nil {
-					continue
-				}
-				if cs.blocking && !s.blocking {
-					s.blocking = true
-					changed = true
-				}
-				for a := range cs.acquires {
-					if !s.acquires[a] {
-						s.acquires[a] = true
-						changed = true
-					}
-				}
+	return f
+}
+
+// stableConds assigns a guard bit to each variable of fn whose branch
+// outcomes may be correlated: bool parameters and locals (the first
+// 64) never reassigned or address-taken anywhere in fn, nested literals
+// included. A redefinition (a loop re-running the declaration) forgets
+// the variable's outcomes.
+func (lc *lockorderCtx) stableConds(fn ast.Node) map[*types.Var]uint64 {
+	info := lc.pass.Info
+	stable := make(map[*types.Var]uint64)
+	written := make(map[types.Object]bool)
+	ast.Inspect(fn, func(n ast.Node) bool {
+		var lhs []ast.Expr
+		switch n := n.(type) {
+		case *ast.Ident:
+			if v, ok := info.Defs[n].(*types.Var); ok && len(stable) < 64 && types.Identical(v.Type(), types.Typ[types.Bool]) {
+				stable[v] = 1 << len(stable)
+			}
+		case *ast.AssignStmt:
+			lhs = n.Lhs
+		case *ast.RangeStmt:
+			lhs = []ast.Expr{n.Key, n.Value}
+		case *ast.IncDecStmt:
+			lhs = []ast.Expr{n.X}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				lhs = []ast.Expr{n.X}
 			}
 		}
-	}
-}
-
-// heldState is the may-held lattice value at one program point.
-type heldState map[types.Object]lockKind
-
-func (h heldState) clone() heldState {
-	out := make(heldState, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-// merge unions o into h (write dominates read), reporting growth.
-func (h heldState) merge(o heldState) bool {
-	changed := false
-	for k, v := range o {
-		if cur, ok := h[k]; !ok || (cur == lockRead && v == lockWrite) {
-			h[k] = v
-			changed = true
+		for _, e := range lhs {
+			if id, ok := e.(*ast.Ident); ok {
+				written[info.Uses[id]] = true
+			}
+		}
+		return true
+	})
+	for v := range stable {
+		if written[v] {
+			delete(stable, v)
 		}
 	}
-	return changed
+	return stable
 }
 
-// checkBody runs the may-held dataflow over one function body and
-// reports discipline violations.
-func (lc *lockorderCtx) checkBody(body *ast.BlockStmt, report func(pos token.Pos, format string, args ...any)) {
+// checkBody runs the may-held dataflow over one function body on the
+// CFG solver and reports discipline violations. fn is the declaration
+// or literal owning body.
+func (lc *lockorderCtx) checkBody(fn ast.Node, body *ast.BlockStmt, report func(pos token.Pos, format string, args ...any)) {
 	cfg := BuildCFG(body)
 	if cfg == nil {
 		return
@@ -270,35 +358,40 @@ func (lc *lockorderCtx) checkBody(body *ast.BlockStmt, report func(pos token.Pos
 		return true
 	})
 
-	// Fixed point of the may-held states at block entry.
-	entry := make(map[*Block]heldState)
-	for _, b := range cfg.Blocks {
-		entry[b] = make(heldState)
-	}
-	work := []*Block{cfg.Entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := entry[b].clone()
-		for _, n := range b.Nodes {
-			lc.transfer(n, out, nil)
-		}
-		for _, e := range b.Succs {
-			if entry[e.To].merge(out) {
-				work = append(work, e.To)
+	stable := lc.stableConds(fn)
+	res := Forward(cfg, lockFact{path: guards{}, held: heldState{}}, FlowFuncs[lockFact]{
+		Clone: lockFact.clone,
+		Join:  lockFact.join,
+		Equal: lockFact.equal,
+		Transfer: func(n ast.Node, f lockFact) lockFact {
+			lc.transfer(n, &f, stable, nil)
+			return f
+		},
+		Refine: func(e *Edge, f lockFact) lockFact {
+			if id, ok := unparen(e.Cond).(*ast.Ident); ok {
+				if v, ok := lc.pass.Info.Uses[id].(*types.Var); ok && stable[v] != 0 {
+					return f.refine(stable[v], e.Kind == EdgeTrue)
+				}
 			}
-		}
-	}
+			return f
+		},
+	})
 
-	// Reporting pass over the stabilized states.
+	// Reporting pass over the stabilized states. Each acquisition is
+	// judged against the held set just before it, so blocks are walked
+	// from their In facts rather than replayed node by node.
 	firstLock := make(map[types.Object]token.Pos)
 	for _, b := range cfg.Blocks {
-		held := entry[b].clone()
+		in, ok := res.In[b]
+		if !ok {
+			continue
+		}
+		f := in.clone()
 		for _, n := range b.Nodes {
-			lc.transfer(n, held, func(op mutexOp, held heldState) {
+			lc.transfer(n, &f, stable, func(op mutexOp, held heldState) {
 				lc.checkNode(op, held, firstLock, report)
 			})
-			lc.checkBlocking(n, held, report)
+			lc.checkBlocking(n, f.held, report)
 		}
 	}
 
@@ -306,7 +399,7 @@ func (lc *lockorderCtx) checkBody(body *ast.BlockStmt, report func(pos token.Pos
 	// release means some path returns still holding the lock.
 	if cfg.Exit != nil {
 		var leaked []types.Object
-		for obj := range entry[cfg.Exit] {
+		for obj := range res.In[cfg.Exit].held {
 			if !deferred[obj] {
 				leaked = append(leaked, obj)
 			}
@@ -322,13 +415,18 @@ func (lc *lockorderCtx) checkBody(body *ast.BlockStmt, report func(pos token.Pos
 	}
 }
 
-// transfer applies one CFG node's lock effects to held, calling onOp
-// (when non-nil) for each acquisition before it lands.
-func (lc *lockorderCtx) transfer(n ast.Node, held heldState, onOp func(op mutexOp, held heldState)) {
+// transfer applies one CFG node's lock effects to f, calling onOp (when
+// non-nil) for each mutex operation before it lands.
+func (lc *lockorderCtx) transfer(n ast.Node, f *lockFact, stable map[*types.Var]uint64, onOp func(op mutexOp, held heldState)) {
 	// A RangeStmt node in a loop-head block stands for the has-next
-	// check only; its body statements live in their own blocks.
+	// check and the key/value definitions only; its body statements
+	// live in their own blocks.
 	if r, ok := n.(*ast.RangeStmt); ok {
-		lc.transfer(r.X, held, onOp)
+		for _, e := range []ast.Expr{r.Key, r.Value, r.X} {
+			if e != nil {
+				lc.transfer(e, f, stable, onOp)
+			}
+		}
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -339,31 +437,39 @@ func (lc *lockorderCtx) transfer(n ast.Node, held heldState, onOp func(op mutexO
 			return false // spawned code affects its own goroutine
 		case *ast.DeferStmt:
 			return false // releases at exit, not here
-		case *ast.CallExpr:
-			if op, ok := lc.mutexOpOf(m); ok {
-				if onOp != nil {
-					onOp(op, held)
-				}
-				if op.acquire {
-					for h := range held {
-						if h != op.obj {
-							lc.recordOrder(h, op.obj, op.pos)
-						}
-					}
-					if cur, already := held[op.obj]; !already || (cur == lockRead && op.kind == lockWrite) {
-						held[op.obj] = op.kind
-					}
-				} else {
-					delete(held, op.obj)
+		case *ast.Ident:
+			if v, ok := lc.pass.Info.Defs[m].(*types.Var); ok && stable[v] != 0 {
+				bit := stable[v]
+				f.path = guards{f.path.set &^ bit, f.path.val &^ bit}
+				for k, h := range f.held {
+					h.under = guards{h.under.set &^ bit, h.under.val &^ bit}
+					f.held[k] = h
 				}
 			}
+		case *ast.CallExpr:
+			op, ok := lc.mutexOpOf(m)
+			if !ok {
+				return true
+			}
+			if onOp != nil {
+				onOp(op, f.held)
+			}
+			if !op.acquire {
+				delete(f.held, op.obj)
+				return true
+			}
+			h := heldLock{op.kind, f.path}
+			if cur, already := f.held[op.obj]; already {
+				h.kind = min(h.kind, cur.kind)
+			}
+			f.held[op.obj] = h
 		}
 		return true
 	})
 }
 
-// checkNode reports double acquisition and interprocedural effects for
-// one mutex-affecting node.
+// checkNode records acquisition order and reports double acquisition
+// for one mutex operation.
 func (lc *lockorderCtx) checkNode(op mutexOp, held heldState, firstLock map[types.Object]token.Pos, report func(pos token.Pos, format string, args ...any)) {
 	if !op.acquire {
 		return
@@ -371,7 +477,12 @@ func (lc *lockorderCtx) checkNode(op mutexOp, held heldState, firstLock map[type
 	if _, exists := firstLock[op.obj]; !exists {
 		firstLock[op.obj] = op.pos
 	}
-	if cur, already := held[op.obj]; already && !(cur == lockRead && op.kind == lockRead) {
+	for h := range held {
+		if h != op.obj {
+			lc.recordOrder(h, op.obj, op.pos)
+		}
+	}
+	if cur, already := held[op.obj]; already && !(cur.kind == lockRead && op.kind == lockRead) {
 		report(op.pos, "lock %q may already be held here: self-deadlock", op.name)
 	}
 }
@@ -387,13 +498,16 @@ func (lc *lockorderCtx) checkBlocking(n ast.Node, held heldState, report func(po
 		// The head block's RangeStmt stands for the has-next check; its
 		// body statements are their own CFG nodes. Judge only the range
 		// expression here (ranging a channel blocks at the head).
-		if lc.chanTyped(r.X) {
-			report(r.Pos(), "ranging over a channel while holding %s blocks the lock owner", holding)
+		if msg := lc.blockingOp(r); msg != "" {
+			report(r.Pos(), msg, holding)
 		}
 		lc.checkBlocking(r.X, held, report)
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
+		if msg := lc.blockingOp(m); msg != "" {
+			report(m.Pos(), msg, holding)
+		}
 		switch m := m.(type) {
 		case *ast.FuncLit:
 			return false
@@ -401,18 +515,6 @@ func (lc *lockorderCtx) checkBlocking(n ast.Node, held heldState, report func(po
 			return false // go itself never blocks the spawner
 		case *ast.DeferStmt:
 			return false
-		case *ast.SendStmt:
-			if !lc.commNonBlocking(m) {
-				report(m.Pos(), "blocking send while holding %s: the lock is held for the full park", holding)
-			}
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW && !lc.recvNonBlocking(m) {
-				report(m.Pos(), "blocking receive while holding %s: the lock is held for the full park", holding)
-			}
-		case *ast.RangeStmt:
-			if lc.chanTyped(m.X) {
-				report(m.Pos(), "ranging over a channel while holding %s blocks the lock owner", holding)
-			}
 		case *ast.CallExpr:
 			fn, ok := calleeOf(lc.pass.Info, m).(*types.Func)
 			if !ok {
@@ -447,11 +549,7 @@ func (lc *lockorderCtx) heldNames(held heldState) string {
 		names = append(names, fmt.Sprintf("%q", lc.names[obj]))
 	}
 	sort.Strings(names)
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
+	return strings.Join(names, ", ")
 }
 
 // recordOrder notes that `held` was held while acquiring `acq`.
@@ -464,37 +562,29 @@ func (lc *lockorderCtx) recordOrder(held, acq types.Object, pos token.Pos) {
 
 // reportCycles flags every order edge that participates in a cycle of
 // the unit-wide acquisition graph: two locks taken in both orders
-// anywhere in the unit are a deadlock pair.
+// anywhere in the unit are a deadlock pair. after[a] holds every lock
+// acquired, directly or transitively, while a is held.
 func (lc *lockorderCtx) reportCycles(pass *Pass) {
-	succ := make(map[types.Object]map[types.Object]bool)
+	var locks []types.Object
+	succ := make(map[types.Object][]types.Object)
 	for key := range lc.order {
 		if succ[key[0]] == nil {
-			succ[key[0]] = make(map[types.Object]bool)
+			locks = append(locks, key[0])
 		}
-		succ[key[0]][key[1]] = true
+		succ[key[0]] = append(succ[key[0]], key[1])
 	}
-	// reaches reports a path from a to b in the order graph.
-	reaches := func(a, b types.Object) bool {
-		seen := map[types.Object]bool{}
-		stack := []types.Object{a}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if x == b {
-				return true
+	after := Summarize(locks,
+		func(a types.Object) []types.Object { return succ[a] },
+		func(a types.Object) map[types.Object]bool {
+			m := make(map[types.Object]bool)
+			for _, b := range succ[a] {
+				m[b] = true
 			}
-			if seen[x] {
-				continue
-			}
-			seen[x] = true
-			for y := range succ[x] {
-				stack = append(stack, y)
-			}
-		}
-		return false
-	}
+			return m
+		},
+		func(dst, src map[types.Object]bool) (map[types.Object]bool, bool) { return dst, union(dst, src) })
 	for key, pos := range lc.order {
-		if reaches(key[1], key[0]) {
+		if after[key[1]][key[0]] {
 			pass.Reportf(pos, "lock %q acquired while %q is held, but the opposite order also occurs in this package: deadlock pair", lc.names[key[1]], lc.names[key[0]])
 		}
 	}

@@ -60,6 +60,31 @@ func BadFold(self S, view *fssga.View[S], rnd *rand.Rand) S {
 	return sum // want `returned state value grows without bound`
 }
 
+// BadChain3 relays the fold's growth down a three-link accumulator
+// chain: every ForEach iteration moves it one link closer to a.
+func BadChain3(self S, view *fssga.View[S], rnd *rand.Rand) S {
+	a, b, c := S(0), S(0), S(0)
+	view.ForEach(func(t S, _ int) {
+		a = b
+		b = c
+		c += t
+	})
+	return a // want `returned state value grows without bound`
+}
+
+// BadChain4 is the same relay one link longer: the fold must run to its
+// fixed point, not a fixed number of rounds, to see it.
+func BadChain4(self S, view *fssga.View[S], rnd *rand.Rand) S {
+	a, b, c, d := S(0), S(0), S(0), S(0)
+	view.ForEach(func(t S, _ int) {
+		a = b
+		b = c
+		c = d
+		d += t
+	})
+	return a // want `returned state value grows without bound`
+}
+
 // ArrState is finite: fixed-width fields and a fixed-size array.
 type ArrState struct {
 	Bits [4]int8

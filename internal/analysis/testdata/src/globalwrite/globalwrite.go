@@ -16,6 +16,7 @@ var (
 	total   int64
 	results = map[S]int{}
 	epoch   int64
+	boxed   int
 )
 
 func BadStep(self S, view *fssga.View[S], rnd *rand.Rand) S {
@@ -53,6 +54,20 @@ func SpawnForward() { go lateWorker() }
 
 func lateWorker() {
 	counter-- // want `write to package-level variable "counter"`
+}
+
+// box is generic: the call below goes through the instantiated method
+// (*box[S]).bump, which must resolve to this one declaration.
+type box[T any] struct{ v T }
+
+func (b *box[T]) bump() {
+	boxed++ // want `write to package-level variable "boxed"`
+}
+
+func GenericStep(self S, view *fssga.View[S], rnd *rand.Rand) S {
+	var b box[S]
+	b.bump()
+	return self
 }
 
 // GoodStep only touches locals and its own return value.

@@ -3,8 +3,8 @@
 # fssga-vet determinism/symmetry analyzers, full tests under the
 # coverage ratchet, the race detector over the execution engine and the
 # algorithm layer — the packages with goroutine-parallel rounds and the
-# serial/parallel determinism invariant — and the chaos and
-# model-checker smoke gates.
+# serial/parallel determinism invariant — the benchmark's self-tests,
+# and the chaos and model-checker smoke gates.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,6 +39,9 @@ go run ./cmd/fssga-vet -audit -ratchet scripts/suppression_ratchet.txt repro/...
 
 echo "== go test -cover ./... (coverage ratchet)"
 ./scripts/coverage.sh
+
+echo "== benchmark self-tests (perfbench is its own module, so go test ./... skips it)"
+(cd perfbench && go test .)
 
 echo "== perf regression gate (gated headline series vs committed BENCH_engine.json)"
 go run ./cmd/fssga-bench -perfgate
