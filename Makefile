@@ -46,10 +46,10 @@ vet-self:
 contracts:
 	$(GO) run ./cmd/fssga-vet -contracts -json repro/internal/...
 
-# Race detector over the engine and algorithm layers — the packages with
-# goroutine-parallel rounds and per-worker scratch.
+# Race detector over the engine, algorithm and checkpoint layers — the
+# packages with goroutine-parallel rounds and per-worker scratch.
 race:
-	$(GO) test -race ./internal/fssga/... ./internal/algo/...
+	$(GO) test -race ./internal/fssga/... ./internal/algo/... ./internal/checkpoint/...
 
 # Race detector over the adversarial harness and fault layer (the chaos
 # runner drives goroutine-parallel rounds through the pre-round hook).

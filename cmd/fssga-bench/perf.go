@@ -22,9 +22,11 @@ import (
 )
 
 // The -perf suite measures the execution engine itself — synchronous-round
-// throughput and allocation behaviour across view representations (dense
-// multiplicity vectors vs the map fallback), worker counts on the sharded
-// pool, and the frontier round modes — and writes the series to a
+// throughput and allocation behaviour for automata with and without the
+// DenseAutomaton extension (the "map" series names date from the map-view
+// fallback that interned states replaced; the names are kept so the
+// trajectory stays comparable), worker counts on the sharded pool, and
+// the frontier round modes — and writes the series to a
 // BENCH_*.json report plus a headline subset appended to the trajectory
 // file, so the perf history is recorded per PR alongside the experiment
 // tables. scripts/check.sh guards the headline series against the
@@ -329,8 +331,10 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 			benchRound(fssga.New[int](g, fssga.StepFunc[int](lattice{latticeK}.Step), init, seed)))
 	}
 
-	// 2. Real algorithm rounds. Census engages the dense path only for
-	// small sketch configurations; election and BFS are always dense.
+	// 2. Real algorithm rounds. The census "map" series is the paper's
+	// 14-bit x 8 configuration, whose state space is too large to index
+	// (it once ran on map views); every series builds views from
+	// interned state ids.
 	gC := graph.RandomConnectedGNP(512, 0.02, rand.New(rand.NewSource(seed+101)))
 	if net, err := census.NewNetwork(gC.Clone(), census.Config{Bits: 4, Sketches: 3, Seed: seed}); err == nil {
 		serial("SyncRound/census/dense/bits=4x3/n=512", benchRound(net))

@@ -71,7 +71,7 @@ func pred(s, t State) bool {
 
 // automaton is Algorithm 4.1 as a View-based transition function. It
 // implements fssga.DenseAutomaton — the state space is tiny (48 states)
-// — so BFS rounds run on the engine's zero-allocation dense view path.
+// — so high-degree nodes can run on hub aggregate trees.
 type automaton struct{}
 
 // numStates is the dense state-space size: Originator × Target × Label

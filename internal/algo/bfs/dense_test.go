@@ -37,29 +37,42 @@ func TestStateIndexInjective(t *testing.T) {
 	}
 }
 
-// TestBFSRunsDense checks the BFS network engages the dense view path and
-// matches a map-fallback replica exactly.
+// TestBFSRunsDense checks the BFS network runs on interned (dense) views
+// and matches, round by round, a reference that steps every node on a
+// map view (fssga.NewView) of its neighbours' states — at the default hub
+// cutoff and with every node of degree >= 2 on an aggregate tree. BFS is
+// deterministic and never draws, so the reference passes no stream.
 func TestBFSRunsDense(t *testing.T) {
-	g := graph.Grid(6, 6)
-	net, err := NewNetwork(g, 0, []int{35}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !net.DenseViews() {
-		t.Fatal("bfs should run on the dense view path")
-	}
-	mapped := fssga.New[State](graph.Grid(6, 6),
-		fssga.StepFunc[State](automaton{}.Step),
-		func(v int) State {
-			return State{Originator: v == 0, Target: v == 35, Label: NoLabel, Status: Waiting}
-		}, 1)
-	for r := 0; r < 40; r++ {
-		net.SyncRound()
-		mapped.SyncRound()
-		for v := 0; v < 36; v++ {
-			if net.State(v) != mapped.State(v) {
-				t.Fatalf("round %d: state[%d] differs between dense and map paths", r+1, v)
+	for _, cutoff := range []int{0, 2} {
+		g := graph.Grid(6, 6)
+		net, err := NewNetwork(g, 0, []int{35}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !net.DenseViews() {
+			t.Fatal("bfs should run on the dense view path")
+		}
+		net.SetAggDegreeCutoff(cutoff)
+		ref := append([]State(nil), net.States()...)
+		for r := 0; r < 40; r++ {
+			next := make([]State, len(ref))
+			for v := range ref {
+				var nbrs []State
+				for _, u := range g.SortedNeighbors(v, nil) {
+					nbrs = append(nbrs, ref[u])
+				}
+				next[v] = automaton{}.Step(ref[v], fssga.NewView(nbrs), nil)
 			}
+			ref = next
+			net.SyncRound()
+			for v := range ref {
+				if net.State(v) != ref[v] {
+					t.Fatalf("cutoff %d, round %d: state[%d] = %+v, reference %+v", cutoff, r+1, v, net.State(v), ref[v])
+				}
+			}
+		}
+		if cutoff > 0 && net.AggStats().HubViews == 0 {
+			t.Fatalf("cutoff %d: no view came from an aggregate tree", cutoff)
 		}
 	}
 }

@@ -77,12 +77,12 @@ func InitialState(cfg Config, rng *rand.Rand) State {
 }
 
 // automaton ORs the node's state with all neighbour states — the
-// iterated-OR semi-lattice update. It implements fssga.DenseAutomaton by
-// concatenating the active sketch words into one integer index, so small
-// sketch configurations (Bits·Sketches ≤ 20) run on the engine's
-// zero-allocation dense view path; larger ones (including the paper's
-// 14-bit × 8 default) report an oversized NumStates and fall back to map
-// views automatically.
+// iterated-OR semi-lattice update. It implements fssga.SaturatingAutomaton
+// by concatenating the active sketch words into one integer index, so
+// configurations with at most 256 states can run on hub aggregate trees;
+// larger ones (including the paper's 14-bit × 8 default) report an
+// oversized NumStates and keep the linear scan. Every configuration
+// builds its views from interned state ids.
 type automaton struct {
 	bits     int // sketch width (Config.Bits)
 	sketches int // active sketch count (Config.Sketches)
@@ -92,13 +92,14 @@ type automaton struct {
 func (a automaton) NumStates() int {
 	total := a.bits * a.sketches
 	if total < 1 || total >= 31 {
-		return math.MaxInt // unconfigured or oversized: engine uses the map fallback
+		return math.MaxInt // unconfigured or oversized: StateIndex would not fit an int
 	}
 	return 1 << total
 }
 
-// StateIndex implements fssga.DenseAutomaton. Only called when the dense
-// path is active, i.e. when the concatenation fits an int.
+// StateIndex implements fssga.DenseAutomaton. The engine calls it only
+// for hub-tree state spaces (at most 256 states), where the
+// concatenation fits an int.
 func (a automaton) StateIndex(s State) int {
 	idx := 0
 	for j := 0; j < a.sketches; j++ {

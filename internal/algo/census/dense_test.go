@@ -8,48 +8,6 @@ import (
 	"repro/internal/graph"
 )
 
-// TestDenseForSmallConfigs: small sketch configurations run on the dense
-// view path; the paper's 14-bit × 8 default exceeds MaxDenseStates and
-// falls back to map views. Both must agree with a forced-map replica.
-func TestDenseForSmallConfigs(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := graph.RandomConnectedGNP(48, 0.1, rng)
-
-	small := Config{Bits: 4, Sketches: 3, Seed: 9} // 4096 states: dense
-	net, err := NewNetwork(g.Clone(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !net.DenseViews() {
-		t.Fatal("small census config should run on the dense view path")
-	}
-
-	big := Config{Bits: 14, Sketches: 8, Seed: 9} // 2^112 states: map fallback
-	bigNet, err := NewNetwork(g.Clone(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bigNet.DenseViews() {
-		t.Fatal("default census config must fall back to map views")
-	}
-
-	// Dense and forced-map replicas of the small config agree exactly.
-	auto := automaton{bits: small.Bits, sketches: small.Sketches}
-	mapped := fssga.New[State](g.Clone(), fssga.StepFunc[State](auto.Step), func(v int) State {
-		r := rand.New(rand.NewSource(small.Seed ^ (int64(v)+1)*0x5DEECE66D))
-		return InitialState(small, r)
-	}, small.Seed)
-	for r := 0; r < 12; r++ {
-		net.SyncRound()
-		mapped.SyncRound()
-	}
-	for v := 0; v < 48; v++ {
-		if net.State(v) != mapped.State(v) {
-			t.Fatalf("state[%d] differs between dense and map paths", v)
-		}
-	}
-}
-
 // TestStateIndexPacksSketches: the index concatenates the active sketch
 // words, so distinct states get distinct indices within NumStates.
 func TestStateIndexPacksSketches(t *testing.T) {
@@ -69,6 +27,45 @@ func TestStateIndexPacksSketches(t *testing.T) {
 				t.Fatalf("collision: %v and %v both map to %d", prev, s, i)
 			}
 			seen[i] = s
+		}
+	}
+}
+
+// TestDenseForSmallConfigs: every census configuration runs on interned
+// (dense) views — a small one whose 4096 states fit the hub trees and
+// the paper's 14-bit x 8 default, which does not — and each matches,
+// round by round, a reference that steps every node on a map view
+// (fssga.NewView) of its neighbours' states. The iterated OR never
+// draws, so the reference passes no stream.
+func TestDenseForSmallConfigs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g := graph.RandomConnectedGNP(48, 0.1, rng)
+	for _, cfg := range []Config{{Bits: 4, Sketches: 3, Seed: 9}, {Bits: 14, Sketches: 8, Seed: 9}} {
+		net, err := NewNetwork(g.Clone(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !net.DenseViews() {
+			t.Fatalf("census %dx%d should run on the dense view path", cfg.Bits, cfg.Sketches)
+		}
+		auto := automaton{bits: cfg.Bits, sketches: cfg.Sketches}
+		ref := append([]State(nil), net.States()...)
+		for r := 0; r < 12; r++ {
+			next := make([]State, len(ref))
+			for v := range ref {
+				var nbrs []State
+				for _, u := range g.SortedNeighbors(v, nil) {
+					nbrs = append(nbrs, ref[u])
+				}
+				next[v] = auto.Step(ref[v], fssga.NewView(nbrs), nil)
+			}
+			ref = next
+			net.SyncRound()
+			for v := range ref {
+				if net.State(v) != ref[v] {
+					t.Fatalf("census %dx%d, round %d: state[%d] differs from the reference", cfg.Bits, cfg.Sketches, r+1, v)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package election
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/fssga"
@@ -8,9 +9,9 @@ import (
 )
 
 // TestStateIndexInjective enumerates the full mixed-radix state space and
-// checks StateIndex is a bijection onto [0, NumStates) — the property the
-// engine's dense multiplicity vectors rely on (two states colliding would
-// silently merge their view counts).
+// checks StateIndex is a bijection onto [0, NumStates) — the
+// DenseAutomaton contract (two states colliding would silently merge
+// their counts in any StateIndex-keyed multiplicity vector).
 func TestStateIndexInjective(t *testing.T) {
 	a := automaton{}
 	n := a.NumStates()
@@ -67,29 +68,38 @@ func TestStateIndexInjective(t *testing.T) {
 	}
 }
 
-// TestElectionRunsDense confirms the election network actually engages the
-// engine's dense view path, and that a dense election agrees with the same
-// election forced onto the map fallback.
+// TestElectionRunsDense confirms the election network runs on interned
+// (dense) views and agrees, over 200 rounds, with a reference that steps
+// every node on a map view (fssga.NewView) of its neighbours' states.
+// Election draws coins, so the reference needs the engine's per-node
+// streams: it borrows them from a holder network with the same seed,
+// whose state is the node's own index and whose Step ignores the
+// engine-built view and computes the reference successor of that node.
 func TestElectionRunsDense(t *testing.T) {
-	g := graph.Cycle(8)
-	tr := New(g, 5)
+	const n, seed = 8, 5
+	tr := New(graph.Cycle(n), seed)
 	if !tr.Net.DenseViews() {
 		t.Fatal("election should run on the dense view path")
 	}
-
-	mapped := fssga.New[State](graph.Cycle(8),
-		fssga.StepFunc[State](automaton{}.Step),
-		func(v int) State { return State{} }, 5)
-	if mapped.DenseViews() {
-		t.Fatal("StepFunc wrapper should force the map fallback")
-	}
+	g := graph.Cycle(n)
+	ref := append([]State(nil), tr.Net.States()...)
+	next := make([]State, n)
+	holder := fssga.New[int](g, fssga.StepFunc[int](func(v int, _ *fssga.View[int], rnd *rand.Rand) int {
+		var nbrs []State
+		for _, u := range g.SortedNeighbors(v, nil) {
+			nbrs = append(nbrs, ref[u])
+		}
+		next[v] = automaton{}.Step(ref[v], fssga.NewView(nbrs), rnd)
+		return v
+	}), func(v int) int { return v }, seed)
 	for r := 0; r < 200; r++ {
+		holder.SyncRound()
+		ref, next = next, ref
 		tr.Net.SyncRound()
-		mapped.SyncRound()
-	}
-	for v := 0; v < 8; v++ {
-		if tr.Net.State(v) != mapped.State(v) {
-			t.Fatalf("round 200: state[%d] differs between dense and map paths", v)
+		for v := 0; v < n; v++ {
+			if tr.Net.State(v) != ref[v] {
+				t.Fatalf("round %d: state[%d] = %+v, reference %+v", r+1, v, tr.Net.State(v), ref[v])
+			}
 		}
 	}
 }

@@ -118,8 +118,9 @@ type automaton struct {
 }
 
 // numStates is the product of the State fields' value ranges — the
-// mixed-radix capacity StateIndex packs into. 933120 < fssga.MaxDenseStates,
-// so election rounds run on the engine's zero-allocation dense view path.
+// mixed-radix capacity StateIndex packs into (933120). Election declares
+// no saturation footprint, so the engine never calls StateIndex: its
+// views are built from interned state ids like every automaton's.
 const numStates = 2 * 2 * 3 * 2 * 3 * 2 * 4 * 2 * 2 * 3 * 3 * 5 * 9
 
 // NumStates implements fssga.DenseAutomaton.

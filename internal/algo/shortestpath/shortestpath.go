@@ -27,9 +27,9 @@ type State struct {
 
 // automaton applies the balancing rule ℓ(v) := 1 + min over neighbours,
 // capped; targets stay pinned at 0. Labels range over 0..cap, so the
-// automaton implements fssga.DenseAutomaton with 2·(cap+1) states and
-// label diffusion runs on the engine's zero-allocation dense view path
-// (the engine falls back to map views automatically for huge caps).
+// automaton implements fssga.DenseAutomaton with 2·(cap+1) states, and
+// high-degree nodes run on hub aggregate trees when that fits 256 states
+// (larger caps keep the linear scan automatically).
 type automaton struct {
 	cap int
 }

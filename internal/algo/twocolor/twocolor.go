@@ -47,8 +47,8 @@ func (s State) String() string {
 
 // automaton is the View-based transition function, a direct transcription
 // of the paper's mod-thresh pseudocode. With only four states it
-// trivially implements fssga.DenseAutomaton, putting colouring rounds on
-// the engine's zero-allocation dense view path.
+// trivially implements fssga.DenseAutomaton, and its saturation
+// footprint lets high-degree nodes run on hub aggregate trees.
 type automaton struct{}
 
 // NumStates implements fssga.DenseAutomaton.

@@ -142,7 +142,7 @@ type Pass struct {
 	// suppression and ordering; passes just report everything they find.
 	Report func(d Diagnostic)
 
-	cg *callGraph // built on first use by callGraph
+	unit *Unit // holds the summaries shared across the unit's passes
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -230,7 +230,7 @@ func suppressedLines(fset *token.FileSet, files []*ast.File, directive string) m
 
 // newPass connects analyzer a to unit u; the caller sets Report.
 func newPass(u *Unit, a *Analyzer) *Pass {
-	return &Pass{Analyzer: a, Fset: u.Fset, Files: u.Files, Path: u.Path, Pkg: u.Pkg, Info: u.Info}
+	return &Pass{Analyzer: a, Fset: u.Fset, Files: u.Files, Path: u.Path, Pkg: u.Pkg, Info: u.Info, unit: u}
 }
 
 // rawFindings executes the analyzers over the units, honouring each

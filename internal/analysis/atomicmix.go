@@ -27,7 +27,7 @@ var Atomicmix = &Analyzer{
 }
 
 func runAtomicmix(pass *Pass) error {
-	c := newConcCtx(pass)
+	c := concCtxOf(pass)
 
 	// Pass 1: identities addressed by raw sync/atomic calls, and the
 	// &x arguments of those calls (excused from pass 2).

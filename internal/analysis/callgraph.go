@@ -6,7 +6,7 @@ import (
 )
 
 // A callGraph is the unit's same-unit static call graph, built once per
-// pass and shared by every interprocedural analyzer: the conc layer's
+// unit and shared by every interprocedural analyzer: the conc layer's
 // entry-point reachability and lock summaries, globalwrite's worker
 // reachability and hotalloc's may-allocate summaries. Nodes are the
 // unit's function declarations keyed by their origin, so a call through
@@ -20,10 +20,10 @@ type callGraph struct {
 	calls map[*types.Func][]*types.Func
 }
 
-// callGraph returns the pass's call graph, building it on first use.
+// callGraph returns the unit's call graph, building it on first use.
 func (p *Pass) callGraph() *callGraph {
-	if p.cg != nil {
-		return p.cg
+	if p.unit.cg != nil {
+		return p.unit.cg
 	}
 	g := &callGraph{
 		info:  p.Info,
@@ -47,7 +47,7 @@ func (p *Pass) callGraph() *callGraph {
 			g.calls[fn] = g.callees(body)
 		}
 	}
-	p.cg = g
+	p.unit.cg = g
 	return g
 }
 

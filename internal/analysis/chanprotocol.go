@@ -39,7 +39,7 @@ var Chanprotocol = &Analyzer{
 }
 
 func runChanprotocol(pass *Pass) error {
-	c := newConcCtx(pass)
+	c := concCtxOf(pass)
 
 	// Channels some goroutine parks on: receive sites inside spawn bodies.
 	parked := make(map[*chanFacts]bool)

@@ -101,7 +101,7 @@ type spawnSite struct {
 // govern production spawns and channels, and test harnesses (including
 // the leak harness itself) legitimately spawn throwaway goroutines.
 type concCtx struct {
-	pass    *Pass
+	pass    *Pass       // the pass that built the summary; only its unit fields (Fset, Info) are read
 	files   []*ast.File // non-test files only
 	parents map[ast.Node]ast.Node
 	graph   *callGraph
@@ -123,6 +123,16 @@ type concCtx struct {
 	// its select has a default clause; statements absent from the map are
 	// not select arms at all.
 	selectDefault map[ast.Stmt]bool
+}
+
+// concCtxOf returns the concurrency-effect summary of the pass's unit,
+// building it on first use. The summary reads only the unit (types,
+// syntax, call graph), never the analyzer, so every pass shares it.
+func concCtxOf(pass *Pass) *concCtx {
+	if pass.unit.conc == nil {
+		pass.unit.conc = newConcCtx(pass)
+	}
+	return pass.unit.conc
 }
 
 // newConcCtx builds the concurrency-effect summary of one unit.
@@ -599,7 +609,7 @@ func ConcReport(units []*Unit) ([]ConcSpawn, error) {
 	var out []ConcSpawn
 	seen := make(map[string]bool) // file:line, across unit variants
 	for _, u := range units {
-		c := newConcCtx(newPass(u, Goroleak))
+		c := concCtxOf(newPass(u, Goroleak))
 		sup := suppressedLines(u.Fset, u.Files, ConcDirective)
 		for _, sp := range c.spawns {
 			raw, live := 0, 0

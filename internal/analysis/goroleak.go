@@ -43,7 +43,7 @@ var Goroleak = &Analyzer{
 }
 
 func runGoroleak(pass *Pass) error {
-	c := newConcCtx(pass)
+	c := concCtxOf(pass)
 	for _, sp := range c.spawns {
 		c.checkSpawn(sp, pass.Reportf)
 	}

@@ -26,6 +26,13 @@ type Unit struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	// Unit-wide summaries that several analyzers consume, built by the
+	// first pass that asks and shared by every later pass over the unit
+	// (neither is modified after construction): the call graph and the
+	// concurrency-effect layer.
+	cg   *callGraph
+	conc *concCtx
 }
 
 // A Loader parses and type-checks packages using only the standard

@@ -82,7 +82,7 @@ type lockorderCtx struct {
 
 func runLockorder(pass *Pass) error {
 	lc := &lockorderCtx{
-		concCtx: newConcCtx(pass),
+		concCtx: concCtxOf(pass),
 		names:   make(map[types.Object]string),
 		order:   make(map[[2]types.Object]token.Pos),
 	}

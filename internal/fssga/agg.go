@@ -29,15 +29,16 @@ import (
 // rounds, resynchronizing costs O(changed · log deg) instead of O(deg).
 //
 // The engine turns this on automatically for automata that declare a
-// SaturationFootprint, for nodes whose degree reaches the cutoff, and
-// only on the dense view path (the tree nodes are flat byte vectors
-// indexed by StateIndex). Everything else — low-degree nodes, map-mode
-// automata, automata without a footprint — keeps the naive linear
-// buildView. Exactness: the verified footprint guarantees Step cannot
-// distinguish a view built from saturated counts from one built from
-// true counts, so trajectories are bit-identical either way; the
-// differential suite in agg_diff_test.go asserts this across every
-// engine, topology, and registered automaton.
+// SaturationFootprint over at most aggMaxStates states, for nodes whose
+// degree reaches the cutoff (the tree nodes are flat byte vectors indexed
+// by StateIndex, which the intern table records once per state).
+// Everything else — low-degree nodes, large state spaces, automata
+// without a footprint — keeps the linear buildView scan. Exactness: the
+// verified footprint guarantees Step cannot distinguish a view built
+// from saturated counts from one built from true counts, so trajectories
+// are bit-identical either way; the differential suite in
+// agg_diff_test.go asserts this across every engine, topology, and
+// registered automaton.
 
 // SaturatingAutomaton is an optional extension of DenseAutomaton for
 // automata that declare a saturating-periodic view footprint: Step's
@@ -78,7 +79,7 @@ const (
 	// aggMaxStates caps the dense state-space size for aggregation: every
 	// tree node is a NumStates-byte vector, so large state spaces make
 	// trees cache-hostile and rebuilds slow. Above the cap the engine
-	// silently keeps the linear path (same policy as MaxDenseStates).
+	// silently keeps the linear path.
 	aggMaxStates = 256
 
 	// satMaxValues bounds thresh+period: counter values must fit uint8.
@@ -171,7 +172,7 @@ type hubTree[S comparable] struct {
 	// stateOf[i] is a state with StateIndex i observed by some leaf scan;
 	// valid whenever any current leaf count at i is nonzero (that leaf's
 	// last scan wrote it, and StateIndex's injectivity contract makes any
-	// witness of index i canonical).
+	// witness of index i canonical). Views are served in StateIndex order.
 	stateOf []S
 
 	// Dirty leaves awaiting rescan. Flags are cleared only after the
@@ -202,8 +203,6 @@ type aggState[S comparable] struct {
 	refOff  []int32
 	refHub  []int32
 	refLeaf []int32
-
-	changed []int32 // frontier-round change buffer (marks applied at commit)
 
 	// Instrumentation for tests and benches (atomic: parallel workers sync
 	// disjoint trees but share the counters).
@@ -267,23 +266,19 @@ func (net *Network[S]) ensureAgg(c *graph.CSR) {
 	}
 	prev := net.agg
 	net.agg = nil
-	if net.denseAuto == nil || net.numStates > aggMaxStates {
+	if net.sat == nil {
 		return
 	}
-	sa, ok := net.denseAuto.(SaturatingAutomaton[S])
-	if !ok {
-		return
-	}
-	t, m := sa.SaturationFootprint()
+	t, m := net.sat.SaturationFootprint()
 	tab, err := SaturationTable(t, m)
 	if err != nil {
-		panic(fmt.Sprintf("fssga: %T declares an unusable saturation footprint: %v", net.denseAuto, err))
+		panic(fmt.Sprintf("fssga: %T declares an unusable saturation footprint: %v", net.sat, err))
 	}
 	cutoff := net.aggCutoff
 	if cutoff <= 0 {
 		cutoff = AggDefaultCutoff
 	}
-	a := &aggState[S]{table: tab, cutoff: cutoff, csr: c, k: net.numStates}
+	a := &aggState[S]{table: tab, cutoff: cutoff, csr: c, k: net.tab.k}
 	if prev != nil {
 		// Counters are cumulative per network: a topology change swaps the
 		// metadata but must not erase the activity history (AggStats).
@@ -380,99 +375,68 @@ func (a *aggState[S]) noteChanged(v int32) {
 	}
 }
 
-// aggNoteDiff marks the leaves of every node in [lo, hi) whose committed
-// state is about to change (states vs next compared before the swap).
-// Full rounds diff the whole range; the parallel frontier round diffs
-// only active shards (inactive shards were memcpy'd, so they cannot
-// differ); the serial frontier round skips the diff entirely and records
-// changes precisely as it finds them.
-//
-//fssga:hotpath
-func (net *Network[S]) aggNoteDiff(lo, hi int) {
-	if !net.aggActive() {
-		return
-	}
-	a := net.agg
-	for v := lo; v < hi; v++ {
-		if net.states[v] != net.next[v] {
-			a.noteChanged(int32(v))
-		}
-	}
-}
-
 // viewFor builds node v's view: through its aggregate tree when v is a
 // hub, through the linear buildView scan otherwise. This is the single
 // seam every engine (serial, sharded-parallel, frontier, activation,
 // quiescence probe) goes through, which is what keeps them bit-identical.
 //
 //fssga:hotpath
-func (net *Network[S]) viewFor(sc *viewScratch[S], v int, nbrs []int32, snapshot []S) *View[S] {
+func (net *Network[S]) viewFor(sc *viewScratch[S], v int, nbrs []int32) *View[S] {
 	if a := net.agg; a != nil && a.hubOf != nil {
 		if h := a.hubOf[v]; h >= 0 {
-			return net.hubView(sc, h, snapshot)
+			return net.hubView(sc, h)
 		}
 	}
-	return net.buildView(sc, nbrs, snapshot)
+	return net.buildView(sc, nbrs)
 }
 
 // hubView serves a hub's view from its tree root, synchronizing the tree
 // first if leaves are dirty. Safe under the shard pool: a hub belongs to
 // exactly one shard, so exactly one worker touches its tree, and a
-// supervised retry resynchronizes idempotently (the snapshot is unchanged
-// until commit, and dirty flags are cleared only after ancestors are
-// recomputed). The returned view aliases the scratch, like buildView.
+// supervised retry resynchronizes idempotently (the interned snapshot is
+// unchanged until commit, and dirty flags are cleared only after
+// ancestors are recomputed). The returned view aliases the scratch, like
+// buildView.
 //
 //fssga:hotpath
-func (net *Network[S]) hubView(sc *viewScratch[S], h int32, snapshot []S) *View[S] {
+func (net *Network[S]) hubView(sc *viewScratch[S], h int32) *View[S] {
 	a := net.agg
 	tr := a.hubs[h]
 	// A majority-dirty tree resyncs slower than a linear rebuild (each
 	// leaf rescan plus a log path vs one streaming pass), so fall back.
 	if tr.stale || 2*len(tr.dirtyList) > tr.leaves {
-		a.rebuildTree(net, tr, snapshot)
+		a.rebuildTree(net, tr)
 	} else if len(tr.dirtyList) > 0 {
-		a.syncTree(net, tr, snapshot)
+		a.syncTree(net, tr)
 	}
 	a.hubViews.Add(1)
 
 	k := a.k
 	root := tr.vec[k : 2*k] // node 1 (== leaf 0 when the tree is a single leaf)
-	for _, i := range sc.presIdx {
-		sc.dense[i] = 0
-	}
-	sc.present = sc.present[:0]
-	sc.presIdx = sc.presIdx[:0]
+	ents := sc.ents[:0]
 	total := 0
 	for i, cnt := range root {
 		if cnt == 0 {
 			continue
 		}
-		sc.dense[i] = int32(cnt)
-		//fssga:alloc(present grows to the distinct-state count once, then is reused at capacity)
-		sc.present = append(sc.present, tr.stateOf[i])
-		//fssga:alloc(presIdx grows to the distinct-state count once, then is reused at capacity)
-		sc.presIdx = append(sc.presIdx, int32(i))
+		//fssga:alloc(the entry list grows to the distinct-state count once, then is reused at capacity)
+		ents = append(ents, viewEntry[S]{state: tr.stateOf[i], n: int32(cnt)})
 		total += int(cnt)
 	}
 	// total is the *saturated* degree Σ sat(c_s): exactly the view the
 	// witness invariant proves Step-indistinguishable from the true one
 	// (mc builds its projected views the same way, total = Σ counts).
-	sc.view = View[S]{
-		total:   total,
-		dense:   sc.dense,
-		present: sc.present,
-		presIdx: sc.presIdx,
-		idx:     net.idx,
-	}
+	sc.ents = ents
+	sc.view = View[S]{total: total, ents: ents}
 	return &sc.view
 }
 
 // rebuildTree rescans every leaf and recomputes all internal nodes.
 //
 //fssga:hotpath
-func (a *aggState[S]) rebuildTree(net *Network[S], tr *hubTree[S], snapshot []S) {
+func (a *aggState[S]) rebuildTree(net *Network[S], tr *hubTree[S]) {
 	for leaf := 0; leaf < tr.leaves; leaf++ {
-		a.scanLeaf(net, tr, leaf, snapshot)
+		a.scanLeaf(net, tr, leaf)
 	}
 	for p := tr.leaves - 1; p >= 1; p-- {
 		a.combine(tr, p)
@@ -490,9 +454,9 @@ func (a *aggState[S]) rebuildTree(net *Network[S], tr *hubTree[S], snapshot []S)
 // cleared last so an interrupted sync replays in full.
 //
 //fssga:hotpath
-func (a *aggState[S]) syncTree(net *Network[S], tr *hubTree[S], snapshot []S) {
+func (a *aggState[S]) syncTree(net *Network[S], tr *hubTree[S]) {
 	for _, leaf := range tr.dirtyList {
-		a.scanLeaf(net, tr, int(leaf), snapshot)
+		a.scanLeaf(net, tr, int(leaf))
 	}
 	for _, leaf := range tr.dirtyList {
 		for p := (tr.leaves + int(leaf)) >> 1; p >= 1; p >>= 1 {
@@ -505,10 +469,12 @@ func (a *aggState[S]) syncTree(net *Network[S], tr *hubTree[S], snapshot []S) {
 	tr.dirtyList = tr.dirtyList[:0]
 }
 
-// scanLeaf recomputes one leaf's saturated count vector from the snapshot.
+// scanLeaf recomputes one leaf's saturated count vector from the interned
+// snapshot: each neighbour's StateIndex was recorded when its state was
+// interned, so no automaton method runs here.
 //
 //fssga:hotpath
-func (a *aggState[S]) scanLeaf(net *Network[S], tr *hubTree[S], leaf int, snapshot []S) {
+func (a *aggState[S]) scanLeaf(net *Network[S], tr *hubTree[S], leaf int) {
 	k, tab := a.k, a.table
 	lo := leaf * aggLeafSpan
 	hi := lo + aggLeafSpan
@@ -517,15 +483,11 @@ func (a *aggState[S]) scanLeaf(net *Network[S], tr *hubTree[S], leaf int, snapsh
 	}
 	vec := tr.vec[(tr.leaves+leaf)*k : (tr.leaves+leaf+1)*k]
 	clear(vec)
+	ids, ents := net.ids, net.tab.ents
 	for _, u := range tr.nbrs[lo:hi] {
-		s := snapshot[u]
-		//fssga:alloc(StateIndex is a table lookup by the DenseAutomaton contract; dispatch through the stored func value)
-		i := net.idx(s)
-		if i < 0 || i >= k {
-			panic(fmt.Sprintf("fssga: StateIndex returned %d for an observed state, want 0..%d", i, k-1))
-		}
-		tr.stateOf[i] = s
-		vec[i] = tab.inc[vec[i]]
+		e := &ents[ids[u]]
+		tr.stateOf[e.sidx] = e.state
+		vec[e.sidx] = tab.inc[vec[e.sidx]]
 	}
 	a.leafScans.Add(1)
 }

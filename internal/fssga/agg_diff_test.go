@@ -244,8 +244,8 @@ func TestAggDifferential(t *testing.T) {
 			return net
 		})
 	})
-	// Oversized census states fall back to map views: no dense automaton,
-	// so aggregation must stay off and results stay identical.
+	// Oversized census state spaces cannot run on hub trees, so
+	// aggregation must stay off and results stay identical.
 	t.Run("census-map", func(t *testing.T) {
 		runDiff(t, false, true, func(g *graph.Graph, seed int64) *fssga.Network[census.State] {
 			net, err := census.NewNetwork(g, census.Config{Bits: 8, Sketches: 4, Seed: seed})

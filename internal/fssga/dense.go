@@ -1,128 +1,78 @@
 package fssga
 
-import "fmt"
-
 // DenseAutomaton is an optional extension of Automaton for automata whose
-// state space admits a small dense enumeration. When the automaton handed
-// to New implements it (and NumStates is within MaxDenseStates), the
-// engine builds every View on a reusable []int32 multiplicity vector
-// indexed by StateIndex instead of a freshly allocated map[S]int — the
-// zero-allocation fast path. Automata that do not implement it run
-// unchanged on the map fallback.
+// state space admits a small dense enumeration. The engine consults it
+// only through SaturatingAutomaton: hub aggregate trees (agg.go) keep
+// one saturated counter per StateIndex. Ordinary views never need it —
+// every network interns its states to dense ids (intern.go) and builds
+// every view on an id-indexed multiplicity vector — so an automaton that
+// does not implement it runs on exactly the same view path.
 //
 // Contract: StateIndex must be a pure function, safe for concurrent use,
 // and must return a value in [0, NumStates()) for every state that can
 // occur in the network (initial states and everything Step can produce);
-// the engine panics on an out-of-range index for an observed neighbour
-// state. Distinct states must map to distinct indices, otherwise their
-// multiplicities merge and observations are silently wrong. NumStates
-// must be constant over the automaton's lifetime. Results are
-// bit-identical to the map path: a View's observations are functions of
-// the multiplicity vector only, and the representation does not change
-// which multiplicities the program sees.
+// the engine panics when a state it interns for a hub-tree automaton
+// indexes out of range. Distinct states must map to distinct indices,
+// otherwise hub trees merge their counts and observations are silently
+// wrong. NumStates must be constant over the automaton's lifetime.
 type DenseAutomaton[S comparable] interface {
 	Automaton[S]
 
 	// NumStates returns the size of the dense state enumeration. An
 	// automaton whose state space is unbounded or too large to enumerate
-	// may return a huge value (e.g. math.MaxInt) to opt out: the engine
-	// falls back to map views whenever NumStates exceeds MaxDenseStates.
+	// may return a huge value (e.g. math.MaxInt): hub trees are built only
+	// for state spaces of at most aggMaxStates.
 	NumStates() int
 
 	// StateIndex maps a state to its dense index in [0, NumStates()).
 	StateIndex(s S) int
 }
 
-// MaxDenseStates caps the dense-path state-space size: above it the
-// per-worker multiplicity vector (4 bytes per state per worker) would
-// cost more than the map churn it saves, so the engine silently uses the
-// map fallback instead.
-const MaxDenseStates = 1 << 20
-
 // viewScratch is a per-worker reusable workspace for building Views
-// without allocating: a recycled View plus either a dense multiplicity
-// vector (dense mode) or a cleared-and-reused map (map fallback). Each
-// worker of the shard pool owns one; all serial paths share one. (No
-// neighbour buffer: views are built directly off the immutable CSR
-// neighbour rows, which need no copying.)
+// without allocating. Each worker of the shard pool owns one; all serial
+// paths share one. (No neighbour buffer: views are built directly off
+// the immutable CSR neighbour rows, which need no copying.)
 type viewScratch[S comparable] struct {
 	view View[S]
+	ents []viewEntry[S] // the entries of the view built last, reused at capacity
 
-	counts map[S]int // map fallback: cleared and reused across nodes
-
-	// Dense mode: dense is the full multiplicity vector (len NumStates,
-	// zero outside presIdx); present/presIdx track the distinct states of
-	// the current view so resetting is O(distinct states), not O(states).
-	dense   []int32
-	present []S
-	presIdx []int32
-}
-
-// newScratch allocates a workspace matching the network's view mode.
-func (net *Network[S]) newScratch() *viewScratch[S] {
-	sc := &viewScratch[S]{}
-	if net.denseAuto != nil {
-		sc.dense = make([]int32, net.numStates)
-	} else {
-		sc.counts = make(map[S]int)
-	}
-	return sc
+	// pos[id] is 1 + the position of state id in ents while a view is
+	// being built, and 0 for every id between builds: resetting costs
+	// O(distinct states), not O(table).
+	pos []int32
 }
 
 // buildView assembles a node's symmetric view of the neighbours listed
-// in nbrs (a CSR neighbour row) from snapshot into sc. The returned
-// View aliases the scratch buffers: it is valid only until the next
-// buildView on the same scratch, which is exactly the duration of one
-// Step call.
+// in nbrs (a CSR neighbour row) into sc by counting their interned ids;
+// the table is frozen for the round, so parallel workers read it freely.
+// The returned View aliases the scratch buffers: it is valid only until
+// the next build on the same scratch, which is exactly the duration of
+// one Step call.
 //
 //fssga:hotpath
-func (net *Network[S]) buildView(sc *viewScratch[S], nbrs []int32, snapshot []S) *View[S] {
-	return buildViewOver(net, sc, nbrs, snapshot)
-}
-
-// buildViewOver is the single linear-scan view-construction body, generic
-// over the neighbour index width so the engine's CSR []int32 rows and the
-// legacy []int adjacency of hoist_bench_test.go share one implementation
-// (the benchmark cannot drift from the real path).
-//
-//fssga:hotpath
-func buildViewOver[S comparable, N int | int32](net *Network[S], sc *viewScratch[S], nbrs []N, snapshot []S) *View[S] {
-	if sc.dense != nil {
-		for _, i := range sc.presIdx {
-			sc.dense[i] = 0
-		}
-		sc.present = sc.present[:0]
-		sc.presIdx = sc.presIdx[:0]
-		for _, u := range nbrs {
-			s := snapshot[u]
-			//fssga:alloc(StateIndex is a table lookup by the DenseAutomaton contract; dispatch through the stored func value)
-			i := net.idx(s)
-			if i < 0 || i >= len(sc.dense) {
-				panic(fmt.Sprintf("fssga: StateIndex returned %d for an observed state, want 0..%d",
-					i, len(sc.dense)-1))
-			}
-			if sc.dense[i] == 0 {
-				//fssga:alloc(present grows to the distinct-state count once, then is reused at capacity)
-				sc.present = append(sc.present, s)
-				//fssga:alloc(presIdx grows to the distinct-state count once, then is reused at capacity)
-				sc.presIdx = append(sc.presIdx, int32(i))
-			}
-			sc.dense[i]++
-		}
-		sc.view = View[S]{
-			total:   len(nbrs),
-			dense:   sc.dense,
-			present: sc.present,
-			presIdx: sc.presIdx,
-			idx:     net.idx,
-		}
-		return &sc.view
+func (net *Network[S]) buildView(sc *viewScratch[S], nbrs []int32) *View[S] {
+	ids, tab := net.ids, net.tab.ents
+	if len(sc.pos) < len(tab) {
+		//fssga:alloc(the position index doubles as the intern table grows, so it is paid once per doubling)
+		sc.pos = make([]int32, 2*len(tab))
 	}
-	clear(sc.counts)
+	ents := sc.ents[:0]
 	for _, u := range nbrs {
-		sc.counts[snapshot[u]]++
+		id := ids[u]
+		p := sc.pos[id]
+		if p == 0 {
+			//fssga:alloc(the entry list grows to the distinct-state count once, then is reused at capacity)
+			ents = append(ents, viewEntry[S]{state: tab[id].state, id: id})
+			p = int32(len(ents))
+			sc.pos[id] = p
+		}
+		ents[p-1].n++
 	}
-	sc.view = View[S]{counts: sc.counts, total: len(nbrs)}
+	for _, e := range ents {
+		sc.pos[e.id] = 0
+	}
+	sc.ents = ents
+	sc.view = View[S]{total: len(nbrs), ents: ents}
 	return &sc.view
 }
 
@@ -134,7 +84,7 @@ func buildViewOver[S comparable, N int | int32](net *Network[S], sc *viewScratch
 func (net *Network[S]) serialScratch() *viewScratch[S] {
 	if net.serial == nil {
 		//fssga:alloc(one-time lazy construction of the shared serial workspace)
-		net.serial = net.newScratch()
+		net.serial = &viewScratch[S]{}
 	}
 	return net.serial
 }
@@ -142,6 +92,6 @@ func (net *Network[S]) serialScratch() *viewScratch[S] {
 // ensureWorkers grows the per-worker scratch pool to at least n entries.
 func (net *Network[S]) ensureWorkers(n int) {
 	for len(net.workers) < n {
-		net.workers = append(net.workers, net.newScratch())
+		net.workers = append(net.workers, &viewScratch[S]{})
 	}
 }

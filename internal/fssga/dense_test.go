@@ -6,9 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/testutil"
-
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 // denseMax is maxAutomaton with dense indexing over states 0..n-1. Its
@@ -46,7 +45,8 @@ func (denseCoin) Step(self int, view *View[int], rnd *rand.Rand) int {
 	return (rnd.Intn(2) + view.CountState(1, 2)) % 2
 }
 
-// hugeDense declares an oversized state space, forcing the map fallback.
+// hugeDense declares an oversized state space: no hub trees, and its
+// StateIndex is never called.
 type hugeDense struct{}
 
 func (hugeDense) NumStates() int       { return math.MaxInt }
@@ -55,23 +55,30 @@ func (hugeDense) Step(self int, view *View[int], rnd *rand.Rand) int {
 	return maxAutomaton{}.Step(self, view, rnd)
 }
 
+// TestDenseDetection: every network builds its views on interned ids,
+// so DenseViews reports true whatever optional interfaces the automaton
+// implements.
 func TestDenseDetection(t *testing.T) {
 	g := graph.Path(4)
 	if net := New[int](g.Clone(), denseMax{8}, func(v int) int { return v % 8 }, 1); !net.DenseViews() {
-		t.Fatal("denseMax should run on the dense path")
+		t.Fatal("denseMax should run on dense views")
 	}
 	// Wrapping in StepFunc hides the DenseAutomaton methods.
 	wrapped := StepFunc[int](denseMax{8}.Step)
-	if net := New[int](g.Clone(), wrapped, func(v int) int { return v % 8 }, 1); net.DenseViews() {
-		t.Fatal("StepFunc wrapper must use the map fallback")
+	if net := New[int](g.Clone(), wrapped, func(v int) int { return v % 8 }, 1); !net.DenseViews() {
+		t.Fatal("a StepFunc wrapper should run on dense views")
 	}
-	if net := New[int](g.Clone(), hugeDense{}, func(v int) int { return v }, 1); net.DenseViews() {
-		t.Fatal("oversized NumStates must use the map fallback")
+	if net := New[int](g.Clone(), hugeDense{}, func(v int) int { return v }, 1); !net.DenseViews() {
+		t.Fatal("an oversized NumStates should run on dense views")
 	}
 }
 
-// TestDenseMatchesMap runs the same automaton dense-wired and map-wrapped
-// over random graphs and checks the state trajectories are identical.
+// TestDenseMatchesMap runs the same automaton as a DenseAutomaton (with
+// every node of degree >= 3 on an aggregate tree) and wrapped in
+// StepFunc (plain interned views) over random graphs, and checks both
+// state trajectories against a reference that steps every node on a map
+// view (NewView) of its neighbours' states. denseMax never draws, so the
+// reference passes no stream.
 func TestDenseMatchesMap(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,27 +86,35 @@ func TestDenseMatchesMap(t *testing.T) {
 		k := 8
 		init := func(v int) int { return v % k }
 		dense := New[int](g.Clone(), denseMax{k}, init, seed)
+		dense.SetAggDegreeCutoff(3)
 		mapped := New[int](g.Clone(), StepFunc[int](denseMax{k}.Step), init, seed)
-		if !dense.DenseViews() || mapped.DenseViews() {
-			return false
-		}
+		ref := append([]int(nil), dense.States()...)
 		for r := 0; r < 6; r++ {
+			next := make([]int, len(ref))
+			for v := range ref {
+				var nbrs []int
+				for _, u := range g.SortedNeighbors(v, nil) {
+					nbrs = append(nbrs, ref[u])
+				}
+				next[v] = denseMax{k}.Step(ref[v], NewView(nbrs), nil)
+			}
+			ref = next
 			dense.SyncRound()
 			mapped.SyncRound()
-			for v := 0; v < 32; v++ {
-				if dense.State(v) != mapped.State(v) {
+			for v := range ref {
+				if dense.State(v) != ref[v] || mapped.State(v) != ref[v] {
 					return false
 				}
 			}
 		}
-		return true
+		return dense.AggStats().HubViews > 0
 	}
 	if err := quick.Check(prop, testutil.QuickN(t, 114, 20)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDenseViewObservations builds engine views on the dense path and
+// TestDenseViewObservations builds engine views from interned ids and
 // cross-checks every observation method against a freshly built map view
 // of the same neighbourhood.
 func TestDenseViewObservations(t *testing.T) {
@@ -107,12 +122,9 @@ func TestDenseViewObservations(t *testing.T) {
 	g := graph.RandomConnectedGNP(24, 0.2, rng)
 	k := 5
 	net := New[int](g, denseMax{k}, func(v int) int { return rng.Intn(k) }, 1)
-	if !net.DenseViews() {
-		t.Fatal("expected dense path")
-	}
 	sc := net.serialScratch()
 	for v := 0; v < g.Cap(); v++ {
-		got := net.buildView(sc, g.CSR().Neighbors(v), net.states)
+		got := net.buildView(sc, g.CSR().Neighbors(v))
 		var nbrStates []int
 		for _, u := range g.SortedNeighbors(v, nil) {
 			nbrStates = append(nbrStates, net.states[u])
@@ -154,11 +166,15 @@ func TestDenseViewObservations(t *testing.T) {
 	}
 }
 
-// badIndex returns an out-of-range index for state 1.
+// badIndex returns an out-of-range index for state 1. It declares a
+// saturation footprint because hub trees are StateIndex's only consumer:
+// the engine indexes (and range-checks) each state once, when it interns
+// it, only for automata that can run on hub trees.
 type badIndex struct{}
 
 func (badIndex) NumStates() int                                     { return 2 }
 func (badIndex) StateIndex(s int) int                               { return s * 100 }
+func (badIndex) SaturationFootprint() (int, int)                    { return 1, 1 }
 func (badIndex) Step(self int, view *View[int], rnd *rand.Rand) int { return self }
 
 func TestDenseOutOfRangeIndexPanics(t *testing.T) {
@@ -171,10 +187,10 @@ func TestDenseOutOfRangeIndexPanics(t *testing.T) {
 	net.SyncRound()
 }
 
-// TestSyncRoundZeroAllocs is the acceptance check for the tentpole: after
-// warm-up, the synchronous-round hot path allocates nothing — dense and
-// map fallback alike (the map is cleared and reused, the View recycled,
-// the neighbour buffer reused).
+// TestSyncRoundZeroAllocs: after warm-up, the synchronous-round hot path
+// allocates nothing, for a DenseAutomaton and for a plain StepFunc alike
+// (the "map-fallback" case predates interning, which gave every automaton
+// the same id-indexed view path; the View and its entries are recycled).
 func TestSyncRoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")

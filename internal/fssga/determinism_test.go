@@ -14,8 +14,8 @@ import (
 // reproducibility property: with per-node random streams, serial rounds
 // and sharded parallel rounds at any worker count produce bit-identical
 // state vectors — including across mid-run faults (which invalidate the
-// CSR snapshot), probabilistic automata, and both view representations
-// (dense and map fallback). n is kept above shardAlign so the parallel
+// CSR snapshot), probabilistic automata, and automata with and without
+// the DenseAutomaton extension. n is kept above shardAlign so the parallel
 // modes genuinely run on the shard pool rather than the small-network
 // serial fallback.
 func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {

@@ -69,14 +69,6 @@ func (net *Network[S]) SyncRoundFrontier() (changed bool) {
 	net.frontCSR = c
 
 	sc := net.serialScratch()
-	// Changed nodes are recorded precisely and their tree leaves marked
-	// only at commit: a mark consumed by a later hubView in the *same*
-	// round would rescan pre-commit states and then wrongly clear itself.
-	aggOn := net.aggActive()
-	var aggChanged []int32
-	if aggOn {
-		aggChanged = net.agg.changed[:0]
-	}
 	changes := net.frontChanges[:0]
 	net.frontNextList = net.frontNextList[:0]
 	mark := func(u int32) {
@@ -91,7 +83,7 @@ func (net *Network[S]) SyncRoundFrontier() (changed bool) {
 		if len(nbrs) == 0 {
 			return
 		}
-		view := net.viewFor(sc, v, nbrs, net.states)
+		view := net.viewFor(sc, v, nbrs)
 		//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
 		s := net.auto.Step(net.states[v], view, net.rngs[v])
 		if s != net.states[v] {
@@ -102,10 +94,6 @@ func (net *Network[S]) SyncRoundFrontier() (changed bool) {
 			mark(int32(v))
 			for _, u := range nbrs {
 				mark(u)
-			}
-			if aggOn {
-				//fssga:alloc(the agg change list grows to the per-round change count once, then is reused at capacity)
-				aggChanged = append(aggChanged, int32(v))
 			}
 		}
 	}
@@ -131,14 +119,16 @@ func (net *Network[S]) SyncRoundFrontier() (changed bool) {
 		net.frontChanges = changes
 		return false
 	}
-	if aggOn {
-		for _, v := range aggChanged {
-			net.agg.noteChanged(v)
-		}
-		net.agg.changed = aggChanged[:0]
-	}
+	// Tree leaves are marked only now, at commit: a mark consumed by a
+	// later hubView in the same round would rescan pre-commit states and
+	// then wrongly clear itself.
+	aggOn := net.aggActive()
 	for _, ch := range changes {
 		net.states[ch.v] = ch.s
+		net.ids[ch.v] = net.tab.intern(ch.s)
+		if aggOn {
+			net.agg.noteChanged(ch.v)
+		}
 	}
 	net.frontChanges = changes[:0]
 	net.Rounds++

@@ -17,20 +17,29 @@ import (
 // measures the delta on identical work.
 
 // legacyRound is the pre-CSR SyncRound body: per-node interface calls
-// and a neighbour copy into scratch, then the same view build and Step.
-func legacyRound[S comparable](net *Network[S], nbrBuf []int) []int {
+// and a neighbour copy into scratch (narrowed to the view builder's
+// int32 row), then the same view build, Step and commit.
+func legacyRound[S comparable](net *Network[S], nbrBuf []int, row []int32) ([]int, []int32) {
 	sc := net.serialScratch()
+	nextIDs := net.nextIDBuffer()
 	for v := 0; v < net.G.Cap(); v++ {
 		if !net.G.Alive(v) || net.G.Degree(v) == 0 {
 			net.next[v] = net.states[v]
+			nextIDs[v] = net.ids[v]
 			continue
 		}
 		nbrBuf = net.G.SortedNeighbors(v, nbrBuf[:0])
-		view := buildViewOver(net, sc, nbrBuf, net.states)
-		net.next[v] = net.auto.Step(net.states[v], view, net.rngs[v])
+		row = row[:0]
+		for _, u := range nbrBuf {
+			row = append(row, int32(u))
+		}
+		view := net.buildView(sc, row)
+		s := net.auto.Step(net.states[v], view, net.rngs[v])
+		net.next[v] = s
+		nextIDs[v] = net.nextID(v, s)
 	}
-	net.states, net.next = net.next, net.states
-	return nbrBuf
+	net.commitRound()
+	return nbrBuf, row
 }
 
 func benchTopologyNet(seed int64) *Network[int] {
@@ -56,11 +65,12 @@ func BenchmarkRoundTopologyAccess(b *testing.B) {
 		b.Run(tc.name+"/graph-interface", func(b *testing.B) {
 			net := tc.mk()
 			var buf []int
-			buf = legacyRound(net, buf) // warm up scratch
+			var row []int32
+			buf, row = legacyRound(net, buf, row) // warm up scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = legacyRound(net, buf)
+				buf, row = legacyRound(net, buf, row)
 			}
 		})
 		b.Run(tc.name+"/csr", func(b *testing.B) {
@@ -82,8 +92,9 @@ func TestLegacyRoundMatchesCSRRound(t *testing.T) {
 	legacy := benchTopologyNet(3)
 	csr := benchTopologyNet(3)
 	var buf []int
+	var row []int32
 	for r := 0; r < 3; r++ {
-		buf = legacyRound(legacy, buf)
+		buf, row = legacyRound(legacy, buf, row)
 		csr.SyncRound()
 		for v := 0; v < 4096; v++ {
 			if legacy.State(v) != csr.State(v) {

@@ -54,7 +54,7 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 	}
 	verdicts := hotpathReport(t)
 	for _, name := range []string{
-		"Network.viewFor", "Network.buildView", "buildViewOver",
+		"Network.viewFor", "Network.buildView",
 		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.Activate",
 		"Network.Quiescent", "View.Empty", "View.DegreeCapped",
 		"View.CountState", "View.Count", "View.CountMod", "diffRuns",
@@ -91,12 +91,12 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 
 	// The pure View observations are transitively proven or audited only
 	// for table lookups / caller predicates; all must measure 0 on the
-	// dense path with an allocation-free predicate.
+	// interned view path with an allocation-free predicate.
 	net2 := New[int](graph.Cycle(16), denseMax{8}, func(v int) int { return v % 8 }, 1)
 	net2.SyncRound()
 	sc := net2.serialScratch()
 	c := net2.topo()
-	view := net2.buildView(sc, c.Neighbors(3), net2.states)
+	view := net2.buildView(sc, c.Neighbors(3))
 	isOdd := func(s int) bool { return s%2 == 1 }
 	viewOps := []struct {
 		name string
@@ -140,7 +140,7 @@ func TestHotpathProvenSubset(t *testing.T) {
 	}
 	audited := []string{
 		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.Activate",
-		"Network.Quiescent", "Network.buildView", "buildViewOver", "diffRuns",
+		"Network.Quiescent", "Network.buildView", "diffRuns",
 		"View.Count", "View.CountMod", "View.ForEach",
 	}
 	for _, name := range audited {

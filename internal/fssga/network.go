@@ -31,6 +31,13 @@ type Network[S comparable] struct {
 	next   []S // scratch buffer for synchronous rounds
 	rngs   []*rand.Rand
 
+	// Interned states (see intern.go): ids[v] is the table id of
+	// states[v], kept in step with it wherever a state is written;
+	// nextIDs is the id twin of next, allocated by the first full round.
+	tab     internTable[S]
+	ids     []int32
+	nextIDs []int32
+
 	// seed is the master seed the per-node streams derive from; srcs
 	// are the counting sources behind rngs (same index). rngUsed flips
 	// the first time any node stream materializes its generator, so
@@ -39,11 +46,9 @@ type Network[S comparable] struct {
 	srcs    []*lazySource
 	rngUsed atomic.Bool
 
-	// Dense fast path (see dense.go): set when auto implements
-	// DenseAutomaton with a state space within MaxDenseStates.
-	denseAuto DenseAutomaton[S]
-	numStates int
-	idx       func(S) int
+	// sat is auto when hub aggregate trees are possible (see agg.go): a
+	// SaturatingAutomaton with at most aggMaxStates states.
+	sat SaturatingAutomaton[S]
 
 	serial  *viewScratch[S]   // shared by all serial execution paths
 	workers []*viewScratch[S] // one per worker of the shard pool
@@ -51,10 +56,12 @@ type Network[S comparable] struct {
 
 	// Persistent shard pool for parallel rounds (see shard.go). poolMu
 	// guards creating/replacing/closing the pool so rounds racing Close
-	// stay defined; roundActive rejects concurrent rounds on the same
-	// network with ErrConcurrentRound; rngSnap is the supervisor's
+	// stay defined; owner holds the finalizer that stops the pool of an
+	// abandoned network; roundActive rejects concurrent rounds on the
+	// same network with ErrConcurrentRound; rngSnap is the supervisor's
 	// reusable round-start RNG position scratch (see supervisor.go).
 	pool        *shardPool
+	owner       *poolOwner
 	poolMu      sync.Mutex
 	roundActive atomic.Bool
 	rngSnap     []uint64
@@ -76,8 +83,8 @@ type Network[S comparable] struct {
 	shardFront shardFrontier
 
 	// Divide-and-conquer view aggregation for high-degree nodes (see
-	// agg.go): non-nil once a round ran with a SaturatingAutomaton on the
-	// dense path; rebuilt whenever the CSR snapshot or cutoff changes.
+	// agg.go): non-nil once a round ran with a hub-tree automaton (sat);
+	// rebuilt whenever the CSR snapshot or cutoff changes.
 	agg       *aggState[S]
 	aggCutoff int
 
@@ -105,10 +112,8 @@ type Network[S comparable] struct {
 // derived from seed, so runs are reproducible and independent of execution
 // order and worker count.
 //
-// If auto implements DenseAutomaton and its NumStates fits MaxDenseStates,
-// all views are built on dense multiplicity vectors (the zero-allocation
-// fast path); otherwise the map fallback is used. Both representations
-// expose identical observations, so the choice never changes results.
+// Views are built by counting interned state ids (see intern.go),
+// whatever optional interfaces auto implements.
 func New[S comparable](g *graph.Graph, auto Automaton[S], init func(v int) S, seed int64) *Network[S] {
 	net := newNetwork[S](g, g.CSR(), auto, init, seed)
 	net.csr = nil // always re-snapshot from the mutable graph
@@ -143,12 +148,13 @@ func newNetwork[S comparable](g *graph.Graph, c *graph.CSR, auto Automaton[S], i
 		rngs:   make([]*rand.Rand, n),
 		seed:   seed,
 		srcs:   make([]*lazySource, n),
+		tab:    newInternTable[S](),
+		ids:    make([]int32, n),
 	}
-	if d, ok := auto.(DenseAutomaton[S]); ok {
-		if ns := d.NumStates(); ns > 0 && ns <= MaxDenseStates {
-			net.denseAuto = d
-			net.numStates = ns
-			net.idx = d.StateIndex
+	if sa, ok := auto.(SaturatingAutomaton[S]); ok {
+		if k := sa.NumStates(); k > 0 && k <= aggMaxStates {
+			net.sat = sa
+			net.tab.index, net.tab.k = sa.StateIndex, k
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -158,7 +164,21 @@ func newNetwork[S comparable](g *graph.Graph, c *graph.CSR, auto Automaton[S], i
 			net.states[v] = init(v)
 		}
 	}
+	net.internAll()
 	return net
+}
+
+// internAll re-derives every node's id from its state. Runs of equal
+// states (a uniform initial configuration) reuse the previous id without
+// a table lookup.
+func (net *Network[S]) internAll() {
+	for v, s := range net.states {
+		if v > 0 && s == net.states[v-1] {
+			net.ids[v] = net.ids[v-1]
+			continue
+		}
+		net.ids[v] = net.tab.intern(s)
+	}
 }
 
 // topo returns the current topology snapshot: the static CSR for
@@ -185,8 +205,9 @@ func mix(seed, v int64) int64 {
 	return int64(z)
 }
 
-// DenseViews reports whether the network runs on the dense view fast path.
-func (net *Network[S]) DenseViews() bool { return net.denseAuto != nil }
+// DenseViews reports whether views are built on dense multiplicity
+// vectors: always, since every network interns its states.
+func (net *Network[S]) DenseViews() bool { return true }
 
 // State returns the current state of node v (meaningless for dead nodes).
 func (net *Network[S]) State(v int) S { return net.states[v] }
@@ -195,6 +216,7 @@ func (net *Network[S]) State(v int) S { return net.states[v] }
 // initial conditions (e.g. "one node is RED").
 func (net *Network[S]) SetState(v int, s S) {
 	net.states[v] = s
+	net.ids[v] = net.tab.intern(s)
 	net.invalidateFrontiers() // out-of-band change: frontier bookkeeping is stale
 	net.invalidateAgg()       // ...and so are the hub aggregate trees
 }
@@ -266,6 +288,7 @@ func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 		return fmt.Errorf("fssga: RestoreStates got negative round counter %d", rounds)
 	}
 	copy(net.states, states)
+	net.internAll()
 	net.Rounds = rounds
 	net.invalidateFrontiers()
 	net.invalidateAgg()
@@ -296,11 +319,14 @@ func (net *Network[S]) Activate(v int) {
 	//fssga:alloc(ensureAgg builds the aggregation tree once per topology snapshot, amortized over all rounds)
 	net.ensureAgg(c)
 	old := net.states[v]
-	view := net.viewFor(net.serialScratch(), v, nbrs, net.states)
+	view := net.viewFor(net.serialScratch(), v, nbrs)
 	//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-	net.states[v] = net.auto.Step(old, view, net.rngs[v])
-	if net.aggActive() && net.states[v] != old {
-		net.agg.noteChanged(int32(v))
+	if s := net.auto.Step(old, view, net.rngs[v]); s != old {
+		net.states[v] = s
+		net.ids[v] = net.tab.intern(s)
+		if net.aggActive() {
+			net.agg.noteChanged(int32(v))
+		}
 	}
 	net.Activations++
 	net.invalidateFrontiers()
@@ -321,17 +347,49 @@ func (net *Network[S]) SyncRound() {
 	//fssga:alloc(ensureAgg builds the aggregation tree once per topology snapshot, amortized over all rounds)
 	net.ensureAgg(c)
 	sc := net.serialScratch()
+	nextIDs := net.nextIDBuffer()
 	for v := 0; v < c.Cap(); v++ {
 		nbrs := c.Neighbors(v)
 		if len(nbrs) == 0 {
 			net.next[v] = net.states[v]
+			nextIDs[v] = net.ids[v]
 			continue
 		}
-		view := net.viewFor(sc, v, nbrs, net.states)
+		view := net.viewFor(sc, v, nbrs)
 		//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-		net.next[v] = net.auto.Step(net.states[v], view, net.rngs[v])
+		s := net.auto.Step(net.states[v], view, net.rngs[v])
+		net.next[v] = s
+		nextIDs[v] = net.nextID(v, s)
 	}
 	net.commitRound()
+}
+
+// nextIDBuffer returns nextIDs, allocating it on first use: frontier
+// rounds and activations never need it.
+//
+//fssga:hotpath
+func (net *Network[S]) nextIDBuffer() []int32 {
+	if net.nextIDs == nil {
+		//fssga:alloc(one-time lazy construction of the successor id buffer)
+		net.nextIDs = make([]int32, len(net.ids))
+	}
+	return net.nextIDs
+}
+
+// nextID returns the id of s, node v's successor state in a full round:
+// ids[v] when the state is unchanged, s's id when the table holds it, and
+// -1 when s is new (commitIDs interns it). It only reads the table, so
+// the workers of a parallel round call it concurrently.
+//
+//fssga:hotpath
+func (net *Network[S]) nextID(v int, s S) int32 {
+	if s == net.states[v] {
+		return net.ids[v]
+	}
+	if id, ok := net.tab.byState[s]; ok {
+		return id
+	}
+	return -1
 }
 
 // beforeRound fires the pre-round hook with the upcoming round number.
@@ -353,13 +411,36 @@ func (net *Network[S]) beforeRound() {
 //
 //fssga:hotpath
 func (net *Network[S]) commitRound() {
-	net.aggNoteDiff(0, len(net.states)) // before the swap: states=old, next=new
+	net.commitIDs(0, len(net.states))
 	net.states, net.next = net.next, net.states
+	net.ids, net.nextIDs = net.nextIDs, net.ids
 	net.Rounds++
 	net.invalidateFrontiers()
 	if net.OnRound != nil {
 		//fssga:alloc(user hook runs outside the zero-alloc contract; nil in steady-state runs)
 		net.OnRound(net.Rounds)
+	}
+}
+
+// commitIDs settles the successor ids of a full round over [lo, hi),
+// before the swap: states new to the table are interned in node order,
+// and the hub-tree leaves of every changed node (ids are canonical, so
+// the id differs) are marked dirty.
+//
+//fssga:hotpath
+func (net *Network[S]) commitIDs(lo, hi int) {
+	aggOn := net.aggActive()
+	for v := lo; v < hi; v++ {
+		id := net.nextIDs[v]
+		if id == net.ids[v] {
+			continue
+		}
+		if id < 0 {
+			net.nextIDs[v] = net.tab.intern(net.next[v])
+		}
+		if aggOn {
+			net.agg.noteChanged(int32(v))
+		}
 	}
 }
 
@@ -369,17 +450,6 @@ func (net *Network[S]) commitRound() {
 func (net *Network[S]) RunSync(maxRounds int, done func(net *Network[S]) bool) (rounds int, finished bool) {
 	for r := 0; r < maxRounds; r++ {
 		net.SyncRound()
-		if done != nil && done(net) {
-			return r + 1, true
-		}
-	}
-	return maxRounds, done == nil
-}
-
-// RunSyncParallel is RunSync with sharded goroutine-parallel rounds.
-func (net *Network[S]) RunSyncParallel(maxRounds, workers int, done func(net *Network[S]) bool) (rounds int, finished bool) {
-	for r := 0; r < maxRounds; r++ {
-		net.SyncRoundParallel(workers)
 		if done != nil && done(net) {
 			return r + 1, true
 		}
@@ -411,7 +481,7 @@ func (net *Network[S]) Quiescent() bool {
 		if len(nbrs) == 0 {
 			continue
 		}
-		view := net.viewFor(sc, v, nbrs, net.states)
+		view := net.viewFor(sc, v, nbrs)
 		//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
 		if net.auto.Step(net.states[v], view, net.probe) != net.states[v] {
 			return false

@@ -59,7 +59,7 @@ func shardSpan(n, workers int) int {
 // between rounds; round() publishes the body, wakes everyone, and waits
 // for completion. The pool is created lazily by the first parallel
 // round, grows if a later round asks for more workers, and is torn down
-// by Network.Close or the network's finalizer.
+// by Network.Close or the pool owner's finalizer.
 //
 // The pool is panic-safe: a body panic is recovered in the worker (the
 // goroutine survives and keeps serving rounds), the first panic of a
@@ -179,23 +179,31 @@ func (p *shardPool) close() {
 	})
 }
 
+// poolOwner carries the finalizer that stops an abandoned network's
+// pool. It cannot sit on the Network: the network's RNG sources point
+// back into it, and the runtime never frees a finalizer object reachable
+// from itself. The owner points only at the pool, so it dies with the
+// network.
+type poolOwner struct{ pool *shardPool }
+
 // ensurePool returns a live pool with at least `workers` workers,
 // creating or growing it as needed, and sizes the per-worker view
-// scratch to match. The network's finalizer tears the pool down if the
-// caller never calls Close — pool goroutines reference only the pool,
-// never the network, so an abandoned network stays collectable.
+// scratch to match. The pool owner's finalizer tears the pool down if
+// the caller never calls Close — pool goroutines reference only the
+// pool, never the network, so an abandoned network stays collectable.
 func (net *Network[S]) ensurePool(workers int) *shardPool {
 	net.poolMu.Lock()
 	defer net.poolMu.Unlock()
 	if net.pool == nil || net.pool.closed.Load() || net.pool.workers < workers {
-		old := net.pool
-		if old != nil {
-			old.close()
+		if net.pool != nil {
+			net.pool.close()
 		}
 		net.pool = newShardPool(workers)
-		if old == nil {
-			runtime.SetFinalizer(net, func(n *Network[S]) { n.Close() })
+		if net.owner == nil {
+			net.owner = &poolOwner{}
+			runtime.SetFinalizer(net.owner, func(o *poolOwner) { o.pool.close() })
 		}
+		net.owner.pool = net.pool
 	}
 	net.ensureWorkers(net.pool.workers)
 	return net.pool
@@ -205,7 +213,7 @@ func (net *Network[S]) ensurePool(workers int) *shardPool {
 // call multiple times, on networks that never ran a parallel round, and
 // concurrently with parallel rounds (the round either completes first
 // or retries on a fresh pool); a network whose Close was never called
-// is cleaned up by a finalizer. A parallel round after Close
+// is cleaned up by its pool owner's finalizer. A parallel round after Close
 // transparently starts a fresh pool.
 func (net *Network[S]) Close() {
 	net.poolMu.Lock()
@@ -239,54 +247,8 @@ func (net *Network[S]) SyncRoundParallel(workers int) {
 // the pool race on every attempt. On error the network is unchanged:
 // still on its last committed round, RNG streams rewound.
 func (net *Network[S]) TrySyncRoundParallel(workers int) error {
-	if workers < 1 {
-		panic(fmt.Sprintf("fssga: SyncRoundParallel needs workers >= 1, got %d", workers))
-	}
-	if !net.roundActive.CompareAndSwap(false, true) {
-		return ErrConcurrentRound
-	}
-	defer net.roundActive.Store(false)
-	n := len(net.states)
-	if workers == 1 || n <= shardAlign {
-		net.SyncRound() // fires the pre-round hook itself
-		return nil
-	}
-	net.beforeRound() // exactly once, even across supervised retries
-	c := net.topo()
-	net.ensureAgg(c) // serially, before any worker can touch a hub tree
-	span := shardSpan(n, workers)
-	shards := (n + span - 1) / span
-	snapshot, next := net.states, net.next
-	//fssga:hotpath
-	err := net.runSupervised(workers, func(pool *shardPool, w int) {
-		sc := net.workers[w]
-		for {
-			s := int(pool.cursor.Add(1)) - 1
-			if s >= shards {
-				return
-			}
-			lo := s * span
-			hi := lo + span
-			if hi > n {
-				hi = n
-			}
-			for v := lo; v < hi; v++ {
-				nbrs := c.Neighbors(v)
-				if len(nbrs) == 0 {
-					next[v] = snapshot[v]
-					continue
-				}
-				view := net.viewFor(sc, v, nbrs, snapshot)
-				//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-				next[v] = net.auto.Step(snapshot[v], view, net.rngs[v])
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	net.commitRound()
-	return nil
+	_, err := net.parallelRound("SyncRoundParallel", workers, false)
+	return err
 }
 
 // shardFrontier is the shard-granular frontier bookkeeping for
@@ -379,16 +341,29 @@ func (net *Network[S]) SyncRoundParallelFrontier(workers int) (changed bool) {
 // committed and the shard frontier is invalidated (the next frontier
 // round re-steps everything).
 func (net *Network[S]) TrySyncRoundParallelFrontier(workers int) (changed bool, err error) {
+	return net.parallelRound("SyncRoundParallelFrontier", workers, true)
+}
+
+// parallelRound is the one shard-pool round behind both parallel entry
+// points (named by name in panics). A full round steps every shard and
+// always commits; a frontier round steps only the shards that changed,
+// or neighbour one that changed, in the previous parallel frontier round,
+// and commits nothing when no state changed.
+func (net *Network[S]) parallelRound(name string, workers int, frontier bool) (changed bool, err error) {
 	if workers < 1 {
-		panic(fmt.Sprintf("fssga: SyncRoundParallelFrontier needs workers >= 1, got %d", workers))
+		panic(fmt.Sprintf("fssga: %s needs workers >= 1, got %d", name, workers))
 	}
 	if !net.roundActive.CompareAndSwap(false, true) {
 		return false, ErrConcurrentRound
 	}
 	defer net.roundActive.Store(false)
 	n := len(net.states)
-	if workers == 1 || n <= shardAlign {
-		return net.SyncRoundFrontier(), nil // fires the pre-round hook itself
+	if workers == 1 || n <= shardAlign { // the serial rounds fire the pre-round hook themselves
+		if frontier {
+			return net.SyncRoundFrontier(), nil
+		}
+		net.SyncRound()
+		return true, nil
 	}
 	net.beforeRound() // exactly once, even across supervised retries
 	c := net.topo()
@@ -399,27 +374,19 @@ func (net *Network[S]) TrySyncRoundParallelFrontier(workers int) (changed bool, 
 		f.rebuild(c, span) // topology or layout changed: all shards re-step
 	}
 	shards := len(f.dirty)
-	if f.ok {
-		for s := 0; s < shards; s++ {
-			act := false
-			for t := f.nbrLo[s]; t <= f.nbrHi[s]; t++ {
-				if f.dirty[t] {
-					act = true
-					break
-				}
-			}
-			f.active[s] = act
+	for s := 0; s < shards; s++ {
+		act := !frontier || !f.ok
+		for t := f.nbrLo[s]; !act && t <= f.nbrHi[s]; t++ {
+			act = f.dirty[t]
 		}
-	} else {
-		for s := range f.active {
-			f.active[s] = true
-		}
+		f.active[s] = act
 	}
 
 	snapshot, next := net.states, net.next
-	// f.active is computed above and only read by attempts; f.dirty and
-	// next are fully rewritten by every attempt, so a discarded attempt
-	// leaves nothing behind.
+	ids, nextIDs := net.ids, net.nextIDBuffer()
+	// f.active is computed above and only read by attempts; f.dirty, next
+	// and nextIDs are fully rewritten by every attempt, so a discarded
+	// attempt leaves nothing behind.
 	//fssga:hotpath
 	err = net.runSupervised(workers, func(pool *shardPool, w int) {
 		sc := net.workers[w]
@@ -435,6 +402,7 @@ func (net *Network[S]) TrySyncRoundParallelFrontier(workers int) (changed bool, 
 			}
 			if !f.active[s] {
 				copy(next[lo:hi], snapshot[lo:hi])
+				copy(nextIDs[lo:hi], ids[lo:hi])
 				f.dirty[s] = false
 				continue
 			}
@@ -443,12 +411,14 @@ func (net *Network[S]) TrySyncRoundParallelFrontier(workers int) (changed bool, 
 				nbrs := c.Neighbors(v)
 				if len(nbrs) == 0 {
 					next[v] = snapshot[v]
+					nextIDs[v] = ids[v]
 					continue
 				}
-				view := net.viewFor(sc, v, nbrs, snapshot)
+				view := net.viewFor(sc, v, nbrs)
 				//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
 				s2 := net.auto.Step(snapshot[v], view, net.rngs[v])
 				next[v] = s2
+				nextIDs[v] = net.nextID(v, s2)
 				if s2 != snapshot[v] {
 					dirty = true
 				}
@@ -462,32 +432,25 @@ func (net *Network[S]) TrySyncRoundParallelFrontier(workers int) (changed bool, 
 		f.ok = false
 		return false, err
 	}
-	for s := 0; s < shards; s++ {
-		if f.dirty[s] {
-			changed = true
-			break
-		}
+	for s := 0; s < shards && !changed; s++ {
+		changed = f.dirty[s]
 	}
-	f.ok = true
-	if !changed {
+	// The dirty flags are exact after a frontier round. A full round
+	// leaves both frontiers stale, as every full round does.
+	f.ok = frontier
+	if frontier && !changed {
 		// Quiescent: all shards clean, nothing committed; subsequent
 		// calls skip every shard.
 		return false, nil
 	}
-	if net.aggActive() {
-		// Inactive shards were memcpy'd, so only active ones can differ.
-		for s := 0; s < shards; s++ {
-			if !f.active[s] {
-				continue
-			}
-			hi := (s + 1) * span
-			if hi > n {
-				hi = n
-			}
-			net.aggNoteDiff(s*span, hi)
+	// Inactive shards were memcpy'd, so only active ones can differ.
+	for s := 0; s < shards; s++ {
+		if f.active[s] {
+			net.commitIDs(s*span, min((s+1)*span, n))
 		}
 	}
 	net.states, net.next = net.next, net.states
+	net.ids, net.nextIDs = net.nextIDs, net.ids
 	net.Rounds++
 	net.frontierOK = false // node-granular bookkeeping is now stale
 	if net.OnRound != nil {

@@ -2,6 +2,7 @@ package fssga
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -292,5 +293,35 @@ func TestLazySourceStreamsMatchEager(t *testing.T) {
 		if e, l := eager.Int63(), lazy.Int63(); e != l {
 			t.Fatalf("seed %d after reseed: %d vs %d", seed, e, l)
 		}
+	}
+}
+
+// TestParallelNetworksAreCollected is the heap-retention regression
+// test for the shard pool's finalizer: networks that ran a parallel
+// round must be garbage once dropped, like serial ones. With the
+// finalizer on the network itself, ten such 8192-node networks stayed
+// live (the network is reachable from its own RNG sources, and the
+// runtime never frees a finalizer object reachable from itself).
+func TestParallelNetworksAreCollected(t *testing.T) {
+	testutil.NoLeak(t)
+	heap := func() int64 {
+		var ms runtime.MemStats
+		for i := 0; i < 3; i++ {
+			runtime.GC() // a collection queues finalizers; later ones free what they released
+			runtime.Gosched()
+		}
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := 0; i < 10; i++ {
+		net := New[int](graph.Cycle(8192), denseMax{8}, func(v int) int { return v % 8 }, int64(i))
+		net.SyncRoundParallel(4)
+		net.Close()
+	}
+	const limit = 2 << 20
+	if retained := heap() - before; retained > limit {
+		t.Fatalf("ten dropped parallel networks retain %.2f MiB of heap, want < %.0f MiB",
+			float64(retained)/(1<<20), float64(limit)/(1<<20))
 	}
 }

@@ -24,28 +24,31 @@ package fssga
 //
 // A View has one of two internal representations:
 //
-//   - map mode: a map[S]int multiplicity map (NewView, NewViewFromCounts,
-//     and the engine's fallback path for automata without dense indexing);
-//   - dense mode: a []int32 multiplicity vector indexed by
-//     DenseAutomaton.StateIndex, with the distinct states present tracked
-//     in a side slice for iteration. Dense views are built only by the
-//     engine, from per-worker scratch buffers, and are allocation-free.
+//   - map mode: a map[S]int multiplicity map, built by NewView,
+//     NewViewFromCounts and Remap for callers outside the engine;
+//   - entry mode: one entry per distinct neighbour state with its
+//     multiplicity. The engine builds every view it hands to Step this
+//     way, from per-worker scratch, without allocating: linear scans
+//     count interned state ids (intern.go), hub views read an aggregate
+//     tree root (agg.go).
+//
+// Exactly one representation is non-empty, so each observation walks
+// both with no mode switch.
 //
 // Views handed to Automaton.Step by the engine are backed by reusable
 // scratch: they are valid only for the duration of the Step call and must
 // not be retained.
 type View[S comparable] struct {
-	counts map[S]int // map mode (nil in dense mode)
+	counts map[S]int // map mode (nil in entry mode)
 	total  int
+	ents   []viewEntry[S] // entry mode (nil in map mode)
+}
 
-	// Dense mode. present holds the distinct neighbour states, presIdx
-	// the parallel dense indices (presIdx[k] == idx(present[k])), so
-	// iteration never re-derives indices; dense[presIdx[k]] is the
-	// multiplicity of present[k]. idx is non-nil exactly in dense mode.
-	dense   []int32
-	present []S
-	presIdx []int32
-	idx     func(S) int
+// viewEntry is one distinct neighbour state of an entry-mode view.
+type viewEntry[S comparable] struct {
+	state S
+	n     int32 // multiplicity
+	id    int32 // interned id (linear scans; lets the builder reset its scratch)
 }
 
 // NewView builds a View from a slice of neighbour states. The slice order
@@ -93,19 +96,16 @@ func (v *View[S]) DegreeCapped(cap int) int {
 	return v.total
 }
 
-// count returns the raw multiplicity μ_q of the exact state q.
+// count returns the raw multiplicity μ_q of the exact state q. An entry
+// view holds at most one entry per distinct neighbour state, so the scan
+// is bounded by the node's degree.
 //
 //fssga:hotpath
 func (v *View[S]) count(q S) int {
-	if v.idx != nil {
-		//fssga:alloc(StateIndex is a table lookup by the DenseAutomaton contract; dispatch through the stored func value)
-		i := v.idx(q)
-		if i < 0 || i >= len(v.dense) {
-			// A state outside the automaton's declared index range cannot
-			// occur as a neighbour state, so its multiplicity is zero.
-			return 0
+	for i := range v.ents {
+		if v.ents[i].state == q {
+			return int(v.ents[i].n)
 		}
-		return int(v.dense[i])
 	}
 	return v.counts[q]
 }
@@ -134,17 +134,14 @@ func (v *View[S]) Count(cap int, pred func(S) bool) int {
 		panic("fssga: Count needs cap >= 1")
 	}
 	c := 0
-	if v.idx != nil {
-		for k, s := range v.present {
-			//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
-			if pred(s) {
-				c += int(v.dense[v.presIdx[k]])
-				if c >= cap {
-					return cap
-				}
+	for i := range v.ents {
+		//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
+		if pred(v.ents[i].state) {
+			c += int(v.ents[i].n)
+			if c >= cap {
+				return cap
 			}
 		}
-		return c
 	}
 	for s, n := range v.counts {
 		//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
@@ -166,14 +163,11 @@ func (v *View[S]) CountMod(m int, pred func(S) bool) int {
 		panic("fssga: CountMod needs modulus >= 1")
 	}
 	c := 0
-	if v.idx != nil {
-		for k, s := range v.present {
-			//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
-			if pred(s) {
-				c = (c + int(v.dense[v.presIdx[k]])) % m
-			}
+	for i := range v.ents {
+		//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
+		if pred(v.ents[i].state) {
+			c = (c + int(v.ents[i].n)) % m
 		}
-		return c
 	}
 	for s, n := range v.counts {
 		//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
@@ -223,12 +217,9 @@ func (v *View[S]) Exactly(k int, pred func(S) bool) bool {
 //
 //fssga:hotpath
 func (v *View[S]) ForEach(f func(state S, count int)) {
-	if v.idx != nil {
-		for k, s := range v.present {
-			//fssga:alloc(f is the caller's fold; viewpure holds step programs to allocation-free observation)
-			f(s, int(v.dense[v.presIdx[k]]))
-		}
-		return
+	for i := range v.ents {
+		//fssga:alloc(f is the caller's fold; viewpure holds step programs to allocation-free observation)
+		f(v.ents[i].state, int(v.ents[i].n))
 	}
 	for s, n := range v.counts {
 		//fssga:alloc(f is the caller's fold; viewpure holds step programs to allocation-free observation)
@@ -242,7 +233,7 @@ func (v *View[S]) ForEach(f func(state S, count int)) {
 // the current or the previous component of each neighbour's composite
 // state. The result is always a map-mode View owning its map.
 func Remap[S, T comparable](v *View[S], f func(S) T) *View[T] {
-	out := make(map[T]int, len(v.counts)+len(v.present))
+	out := make(map[T]int, len(v.counts)+len(v.ents))
 	v.ForEach(func(s S, n int) {
 		out[f(s)] += n
 	})

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // CSR is an immutable compressed-sparse-row snapshot of a graph's
@@ -24,6 +25,9 @@ type CSR struct {
 	alive     []bool  // len Cap(); false for removed nodes
 	nAlive    int
 	mAlive    int
+
+	hashOnce sync.Once // guards hash: computed by the first ContentHash call
+	hash     uint64
 }
 
 // Cap returns the number of node slots, including dead nodes.
@@ -89,7 +93,17 @@ func (c *CSR) String() string {
 // content-addressed reference to the topology they were captured
 // against, so a restore onto the wrong (or wrongly reconstructed) graph
 // fails loudly instead of resuming a run on a different network.
+//
+// A snapshot never changes, so the digest is computed once, by the first
+// call, and every later call (each delta checkpoint of a run asks again)
+// returns it. Safe for concurrent use.
 func (c *CSR) ContentHash() uint64 {
+	c.hashOnce.Do(func() { c.hash = c.contentHash() })
+	return c.hash
+}
+
+// contentHash computes the ContentHash digest.
+func (c *CSR) contentHash() uint64 {
 	const (
 		offset uint64 = 14695981039346656037
 		prime  uint64 = 1099511628211

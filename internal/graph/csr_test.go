@@ -236,3 +236,40 @@ func TestCSRContentHash(t *testing.T) {
 		t.Fatal("alive mask not part of the hash")
 	}
 }
+
+// TestCSRContentHashMemoized: the digest a snapshot remembers equals a
+// fresh computation, survives repeated and concurrent calls, and a fault
+// rebuild yields a fresh snapshot whose own digest differs while the old
+// snapshot keeps its original one.
+func TestCSRContentHashMemoized(t *testing.T) {
+	g := RandomConnectedGNP(64, 0.1, rand.New(rand.NewSource(3)))
+	c := g.CSR()
+	done := make(chan uint64)
+	for i := 0; i < 4; i++ {
+		go func() { done <- c.ContentHash() }()
+	}
+	first := c.ContentHash()
+	for i := 0; i < 4; i++ {
+		if h := <-done; h != first {
+			t.Fatalf("concurrent ContentHash returned %x, want %x", h, first)
+		}
+	}
+	if fresh := c.contentHash(); first != fresh {
+		t.Fatalf("memoized hash %x, fresh computation %x", first, fresh)
+	}
+
+	g.RemoveNode(7) // a fault: the next snapshot is rebuilt
+	c2 := g.CSR()
+	if c2 == c {
+		t.Fatal("fault did not rebuild the snapshot")
+	}
+	if c2.ContentHash() == first {
+		t.Fatal("rebuilt snapshot kept the pre-fault hash")
+	}
+	if c2.ContentHash() != c2.contentHash() {
+		t.Fatal("rebuilt snapshot's memoized hash differs from a fresh computation")
+	}
+	if c.ContentHash() != first || c.contentHash() != first {
+		t.Fatal("the pre-fault snapshot's hash changed")
+	}
+}

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 verification for the repo (see ROADMAP.md): build, vet, the
 # fssga-vet determinism/symmetry analyzers, full tests under the
-# coverage ratchet, the race detector over the execution engine and the
-# algorithm layer — the packages with goroutine-parallel rounds and the
-# serial/parallel determinism invariant — the benchmark's self-tests,
+# coverage ratchet, the race detector over the execution engine, the
+# algorithm layer and checkpointing — the packages with goroutine-parallel
+# rounds, the serial/parallel determinism invariant and the CSR digest
+# shared across goroutines — the benchmark's self-tests,
 # and the chaos and model-checker smoke gates.
 set -eu
 cd "$(dirname "$0")/.."
@@ -49,8 +50,8 @@ go run ./cmd/fssga-bench -perfgate
 echo "== aggregation differential suite under race (tree views vs linear scans)"
 go test -race -run 'TestAggDifferential' ./internal/fssga/
 
-echo "== go test -race ./internal/fssga/... ./internal/algo/..."
-go test -race ./internal/fssga/... ./internal/algo/...
+echo "== go test -race ./internal/fssga/... ./internal/algo/... ./internal/checkpoint/..."
+go test -race ./internal/fssga/... ./internal/algo/... ./internal/checkpoint/...
 
 echo "== go test -race ./internal/chaos/... ./internal/faults/..."
 go test -race ./internal/chaos/... ./internal/faults/...
